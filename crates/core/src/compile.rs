@@ -9,6 +9,36 @@
 //! a chunk summarization is one fused loop with no `Value` allocation
 //! on the hot path.
 //!
+//! One lowering emits three tiers of code, chosen per loop and per
+//! node at compile time. Each tier is a peephole: it rewrites a pure
+//! computation over the same inputs, so results and errors do not
+//! depend on which tier ran.
+//!
+//! 1. **Slice loops.** `for v in 0 .. len(P)`, where `P` is `a`, `a[i]`
+//!    or `a[i][j]` and the body assigns neither `v` nor `P`'s index
+//!    variables, walks `P`'s range of the offset tables. The bound is
+//!    resolved once, so a bad `P` raises the interpreter's error. A
+//!    cursor holds the current row (a register the current element), so
+//!    loads rooted at `P[v]` need no index evaluation and no bounds
+//!    check. A body wrapped in `if (v > 0)` starts at the second child.
+//! 2. **Reduction folds.** A slice loop whose body only updates distinct
+//!    accumulators `r = r ⊕ P[v]` (`⊕` wrapping `+`, `min` or `max`),
+//!    or whose body is one such loop over the current row, runs as one
+//!    native fold over the contiguous `i64` leaves, which LLVM
+//!    vectorizes.
+//! 3. **Superinstructions.** Everything else is the general path, a
+//!    closure tree. Each node is built for the kinds of its operands, so
+//!    it reads constants and registers inline and calls only child nodes
+//!    that compute. Nodes fuse the shapes synthesized code repeats:
+//!    `r = r ⊕ e`, comparisons in conditions, `if (!c)` (branches
+//!    swapped) and `if (c) { r = x; }` with `x` a constant or register (a
+//!    branch-free select). They test for a runtime error only after a
+//!    node that can raise one (a division, a remainder or a
+//!    bounds-checked load).
+//!
+//! The `compile_plan` trace event reports how many loops took the first
+//! two tiers (`slice_loops`, `folds`).
+//!
 //! The compiler is deliberately partial: it covers the scalar-state
 //! plan shapes the Figure-9 suite produces (single `seq<int>^{1..3}`
 //! input, constant state initializers, no array-shaped state) and
@@ -177,12 +207,15 @@ pub struct CState(pub Vec<i64>);
 
 /// Kernel evaluation context: the flattened input, the chunk window
 /// (`base`/`rows` over the outer dimension), the scalar register file,
-/// and the first runtime error if any.
+/// the slice-loop cursors, and the first runtime error if any.
 struct Ctx<'a> {
     flat: &'a FlatInput,
     base: usize,
     rows: usize,
     regs: Vec<i64>,
+    /// One slot per slice loop over rows: the absolute offset-table
+    /// index of the loop's current row.
+    cur: Vec<usize>,
     err: Option<String>,
 }
 
@@ -198,6 +231,35 @@ impl Ctx<'_> {
     #[cold]
     fn fail_oob(&mut self, idx: i64, len: usize) -> i64 {
         self.fail(format!("index {idx} out of bounds (len {len})"))
+    }
+
+    /// The children of `node` through offset table `table`: table 0 is
+    /// the chunk window (the children of the root; `node` is ignored),
+    /// tables 1 and 2 are `off1` and `off2`.
+    #[inline]
+    fn span(&self, table: usize, node: usize) -> (usize, usize) {
+        match table {
+            0 => (self.base, self.base + self.rows),
+            1 => (self.flat.off1[node], self.flat.off1[node + 1]),
+            _ => (self.flat.off2[node], self.flat.off2[node + 1]),
+        }
+    }
+
+    /// The leaf range under the nodes `lo..hi` reached through table
+    /// `table`: rows and planes are contiguous in `data`, so a range of
+    /// them maps to one slice.
+    #[inline]
+    fn leaves(&self, table: usize, lo: usize, hi: usize) -> (usize, usize) {
+        let (mut lo, mut hi) = (lo, hi);
+        for t in table + 1..self.flat.depth {
+            let off = if t == 1 {
+                &self.flat.off1
+            } else {
+                &self.flat.off2
+            };
+            (lo, hi) = (off[lo], off[hi]);
+        }
+        (lo, hi)
     }
 }
 
@@ -266,21 +328,407 @@ fn eval_pure_binop(op: BinOp, a: i64, b: i64) -> i64 {
     }
 }
 
+/// A comparison as the set of orderings it accepts (bit `o + 1` for
+/// `Ordering` `o`), so one branch-free test covers all six operators.
+fn cmp_mask(op: BinOp) -> Option<u8> {
+    Some(match op {
+        BinOp::Lt => 0b001,
+        BinOp::Eq => 0b010,
+        BinOp::Gt => 0b100,
+        BinOp::Le => 0b011,
+        BinOp::Ge => 0b110,
+        BinOp::Ne => 0b101,
+        _ => return None,
+    })
+}
+
+#[inline(always)]
+fn cmp_holds(mask: u8, x: i64, y: i64) -> bool {
+    (mask >> (x.cmp(&y) as i8 + 1)) & 1 != 0
+}
+
+/// Reduce `xs` into `acc` with a wrapping `+`, `min` or `max` — the
+/// native loop a reduction fold lowers to, which LLVM vectorizes.
+/// Integer `+` (wrapping), `min` and `max` are associative and
+/// commutative, so any evaluation order gives the interpreter's result.
+fn fold_slice(op: BinOp, acc: i64, xs: &[i64]) -> i64 {
+    match op {
+        BinOp::Add => xs.iter().fold(acc, |s, &x| s.wrapping_add(x)),
+        BinOp::Min => xs.iter().fold(acc, |s, &x| s.min(x)),
+        BinOp::Max => xs.iter().fold(acc, |s, &x| s.max(x)),
+        _ => unreachable!("fold operators are +, min and max"),
+    }
+}
+
+/// An operand as a parent node reads it. Parents are built generic over
+/// the operand's kind (see [`with_get!`]), so a constant or a register
+/// is read inline and only [`IntOp`] operands cost a call.
+trait Get: Send + Sync + 'static {
+    fn get(&self, ctx: &mut Ctx<'_>) -> i64;
+}
+
+struct Const(i64);
+struct Reg(usize);
+
+impl Get for Const {
+    #[inline(always)]
+    fn get(&self, _: &mut Ctx<'_>) -> i64 {
+        self.0
+    }
+}
+
+impl Get for Reg {
+    #[inline(always)]
+    fn get(&self, ctx: &mut Ctx<'_>) -> i64 {
+        ctx.regs[self.0]
+    }
+}
+
+impl Get for IntOp {
+    #[inline(always)]
+    fn get(&self, ctx: &mut Ctx<'_>) -> i64 {
+        self(ctx)
+    }
+}
+
+/// A lowered expression, before its parent picks how to read it.
+enum Opnd {
+    Const(i64),
+    /// A register; a slice loop keeps its current element in one.
+    Reg(usize),
+    /// Anything else: a closure.
+    Op(IntOp),
+}
+
+impl Get for Opnd {
+    /// Read with a runtime dispatch, for nodes off the hot path.
+    #[inline]
+    fn get(&self, ctx: &mut Ctx<'_>) -> i64 {
+        match self {
+            Opnd::Const(k) => *k,
+            Opnd::Reg(r) => ctx.regs[*r],
+            Opnd::Op(f) => f(ctx),
+        }
+    }
+}
+
+/// Bind `$x` to the operand `$o` as its concrete [`Get`] kind and
+/// evaluate `$body`, which builds a closure specialized to that kind.
+macro_rules! with_get {
+    ($o:expr, |$x:ident| $body:expr) => {
+        match $o {
+            Opnd::Const(k) => {
+                let $x = Const(k);
+                $body
+            }
+            Opnd::Reg(r) => {
+                let $x = Reg(r);
+                $body
+            }
+            Opnd::Op(f) => {
+                let $x = f;
+                $body
+            }
+        }
+    };
+}
+
+/// A pure binary operator (not `&&`/`||`, `/`, `%`) over two operands
+/// of known kinds. `a` evaluates before `b`, like the interpreter.
+fn pure<A: Get, B: Get>(op: BinOp, a: A, b: B) -> IntOp {
+    macro_rules! arm {
+        ($f:expr) => {
+            Box::new(move |ctx| {
+                let x = a.get(ctx);
+                $f(x, b.get(ctx))
+            })
+        };
+    }
+    if let Some(mask) = cmp_mask(op) {
+        return arm!(|x, y| i64::from(cmp_holds(mask, x, y)));
+    }
+    match op {
+        BinOp::Add => arm!(i64::wrapping_add),
+        BinOp::Sub => arm!(i64::wrapping_sub),
+        BinOp::Mul => arm!(i64::wrapping_mul),
+        BinOp::Min => arm!(std::cmp::min::<i64>),
+        BinOp::Max => arm!(std::cmp::max::<i64>),
+        op => arm!(|x, y| eval_pure_binop(op, x, y)),
+    }
+}
+
+/// Lower a binary operator over lowered operands.
+fn binary(op: BinOp, a: Opnd, b: Opnd) -> Opnd {
+    let lazy = matches!(op, BinOp::And | BinOp::Or) && matches!(b, Opnd::Op(_));
+    Opnd::Op(match op {
+        BinOp::Div => Box::new(move |ctx| {
+            let (x, y) = (a.get(ctx), b.get(ctx));
+            if y == 0 {
+                ctx.fail("division by zero")
+            } else {
+                x.wrapping_div(y)
+            }
+        }),
+        BinOp::Rem => Box::new(move |ctx| {
+            let (x, y) = (a.get(ctx), b.get(ctx));
+            if y == 0 {
+                ctx.fail("remainder by zero")
+            } else {
+                x.wrapping_rem(y)
+            }
+        }),
+        // Short-circuit booleans, like the interpreter (a leaf right
+        // operand is pure and cannot fail, so reading it eagerly is
+        // unobservable).
+        BinOp::And if lazy => Box::new(move |ctx| {
+            if a.get(ctx) != 0 {
+                i64::from(b.get(ctx) != 0)
+            } else {
+                0
+            }
+        }),
+        BinOp::Or if lazy => Box::new(move |ctx| {
+            if a.get(ctx) == 0 {
+                i64::from(b.get(ctx) != 0)
+            } else {
+                1
+            }
+        }),
+        op => with_get!(a, |x| with_get!(b, |y| pure(op, x, y))),
+    })
+}
+
+/// `regs[reg] = value`.
+fn set<A: Get>(reg: usize, value: A) -> StmtOp {
+    Box::new(move |ctx| {
+        let v = value.get(ctx);
+        ctx.regs[reg] = v;
+    })
+}
+
+/// `regs[reg] = regs[reg] ⊕ value` for a pure `⊕`.
+fn update<A: Get>(reg: usize, op: BinOp, value: A) -> StmtOp {
+    macro_rules! arm {
+        ($f:expr) => {
+            Box::new(move |ctx| {
+                let v = value.get(ctx);
+                ctx.regs[reg] = $f(ctx.regs[reg], v);
+            })
+        };
+    }
+    match op {
+        BinOp::Add => arm!(i64::wrapping_add),
+        BinOp::Sub => arm!(i64::wrapping_sub),
+        BinOp::Mul => arm!(i64::wrapping_mul),
+        BinOp::Min => arm!(std::cmp::min::<i64>),
+        BinOp::Max => arm!(std::cmp::max::<i64>),
+        op => arm!(|x, y| eval_pure_binop(op, x, y)),
+    }
+}
+
+/// How a conditional tests its condition.
+enum Cond {
+    /// `x != 0`.
+    Truthy(Opnd),
+    /// A comparison `x ⋈ y` (see [`cmp_mask`]).
+    Cmp(u8, Opnd, Opnd),
+}
+
+/// A condition over operands of known kinds.
+trait Test: Send + Sync + 'static {
+    fn test(&self, ctx: &mut Ctx<'_>) -> bool;
+}
+
+struct Truthy<A>(A);
+struct Compare<A, B>(u8, A, B);
+
+impl<A: Get> Test for Truthy<A> {
+    #[inline(always)]
+    fn test(&self, ctx: &mut Ctx<'_>) -> bool {
+        self.0.get(ctx) != 0
+    }
+}
+
+impl<A: Get, B: Get> Test for Compare<A, B> {
+    #[inline(always)]
+    fn test(&self, ctx: &mut Ctx<'_>) -> bool {
+        let x = self.1.get(ctx);
+        cmp_holds(self.0, x, self.2.get(ctx))
+    }
+}
+
+/// Bind `$t` to `$cond` as a [`Test`] over its operands' kinds and
+/// evaluate `$body` (see [`with_get!`]).
+macro_rules! with_test {
+    ($cond:expr, |$t:ident| $body:expr) => {
+        match $cond {
+            Cond::Truthy(c) => with_get!(c, |c| {
+                let $t = Truthy(c);
+                $body
+            }),
+            Cond::Cmp(mask, a, b) => with_get!(a, |a| with_get!(b, |b| {
+                let $t = Compare(mask, a, b);
+                $body
+            })),
+        }
+    };
+}
+
+/// `if (cond) { then_ops } else { else_ops }`. With `check`, a
+/// condition that recorded an error runs neither branch.
+fn branch<T: Test>(cond: T, check: bool, then_ops: Vec<StmtOp>, else_ops: Vec<StmtOp>) -> StmtOp {
+    Box::new(move |ctx| {
+        let taken = cond.test(ctx);
+        if check && ctx.err.is_some() {
+            return;
+        }
+        run_ops(if taken { &then_ops } else { &else_ops }, ctx);
+    })
+}
+
+/// `if (cond) { r = x; }` (with `when`, else `if (!cond)`) for a
+/// constant or register `x`: a branch-free select. `x` cannot fail and
+/// reading it is pure, so reading it unconditionally is unobservable.
+fn select<T: Test, X: Get>(cond: T, check: bool, reg: usize, x: X, when: bool) -> StmtOp {
+    Box::new(move |ctx| {
+        let v = x.get(ctx);
+        let taken = cond.test(ctx) == when;
+        if check && ctx.err.is_some() {
+            return;
+        }
+        ctx.regs[reg] = if taken { v } else { ctx.regs[reg] };
+    })
+}
+
+/// A lowered expression and whether evaluating it can record a runtime
+/// error (a division, a remainder or a bounds-checked load inside it),
+/// decided at compile time so infallible code never tests `ctx.err`.
+struct Lowered {
+    opnd: Opnd,
+    fails: bool,
+}
+
+impl Lowered {
+    fn leaf(opnd: Opnd) -> Self {
+        Lowered { opnd, fails: false }
+    }
+
+    fn op(f: IntOp, fails: bool) -> Self {
+        Lowered {
+            opnd: Opnd::Op(f),
+            fails,
+        }
+    }
+}
+
+/// A lowered statement sequence and whether it can record an error.
+struct Block {
+    ops: Vec<StmtOp>,
+    fails: bool,
+}
+
+/// A node of the main input reached from `start` through bounds-checked
+/// index steps; step `m` descends through offset table `table + m`.
+struct Path {
+    /// The root (`None`) or a slice loop's cursor slot.
+    start: Option<usize>,
+    table: usize,
+    steps: Vec<Opnd>,
+}
+
+impl Path {
+    /// Whether walking can record an error (any bounds-checked step).
+    fn fails(&self) -> bool {
+        !self.steps.is_empty()
+    }
+
+    /// The node's absolute index (0 for the root), or `None` after
+    /// recording the interpreter's out-of-bounds error.
+    #[inline]
+    fn walk(&self, ctx: &mut Ctx<'_>) -> Option<usize> {
+        let mut node = self.start.map_or(0, |slot| ctx.cur[slot]);
+        for (table, step) in (self.table..).zip(&self.steps) {
+            let iv = step.get(ctx);
+            let (lo, hi) = ctx.span(table, node);
+            let Some(j) = in_bounds(iv, hi - lo) else {
+                ctx.fail_oob(iv, hi - lo);
+                return None;
+            };
+            node = lo + j;
+        }
+        Some(node)
+    }
+}
+
+/// A slice loop in scope during lowering: `for var in 0 .. len(P)` with
+/// `P = a[path[0]]..`. When `P`'s children are rows, cursor `slot`
+/// holds the current row; when they are elements, register `slot` holds
+/// the current element's value.
+struct Frame {
+    path: Vec<Sym>,
+    var: Sym,
+    slot: usize,
+}
+
+/// How a loop of the plan was lowered (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LoopTier {
+    /// A counting loop over an evaluated bound.
+    General,
+    /// A walk over a range of the offset tables.
+    Slice,
+    /// A native reduction fold over an `i64` slice.
+    Fold,
+}
+
 /// Expression/statement lowering state: the register allocation (one
-/// `i64` slot per symbol) and which input accesses are legal in the
-/// current context (the join body must not touch the input).
+/// `i64` slot per symbol), which input accesses are legal in the
+/// current context (the join body must not touch the input), the slice
+/// loops in scope, and the tier each loop was lowered to.
 struct Compiler<'p> {
     program: &'p Program,
     main: Sym,
     depth: usize,
     regs: HashMap<Sym, usize>,
+    n_regs: usize,
     allow_input: bool,
+    frames: Vec<Frame>,
+    cursors: usize,
+    /// Symbols read through their register, in lowering order.
+    reads: Vec<Sym>,
+    loops: Vec<(Sym, LoopTier)>,
 }
 
 impl Compiler<'_> {
     fn reg(&mut self, sym: Sym) -> usize {
-        let next = self.regs.len();
-        *self.regs.entry(sym).or_insert(next)
+        if let Some(&reg) = self.regs.get(&sym) {
+            return reg;
+        }
+        let reg = self.fresh_reg();
+        self.regs.insert(sym, reg);
+        reg
+    }
+
+    /// A register bound to no symbol.
+    fn fresh_reg(&mut self) -> usize {
+        self.n_regs += 1;
+        self.n_regs - 1
+    }
+
+    /// The register of a scalar variable other than the main input.
+    fn scalar_reg(&mut self, sym: Sym) -> CResult<usize> {
+        if sym == self.main {
+            return unsupported("whole-sequence use of the main input");
+        }
+        if let Some(ty) = self.program.decl_ty(sym) {
+            if !ty.is_scalar() {
+                return unsupported(format!(
+                    "sequence-valued variable '{}'",
+                    self.program.name(sym)
+                ));
+            }
+        }
+        Ok(self.reg(sym))
     }
 
     /// Decompose an index chain `v[e0][e1]..` into its base symbol and
@@ -319,10 +767,76 @@ impl Compiler<'_> {
         Ok((sym, idxs.into_iter().cloned().collect()))
     }
 
-    /// Lower a full-depth load `a[e0]..[e_{d-1}]` to a guarded fused
-    /// offset computation. The first index is relative to the chunk
-    /// window (`base`), matching the interpreter on a sliced input.
-    fn lower_load(&mut self, idxs: &[Expr]) -> CResult<IntOp> {
+    /// Whether `e` lowers to a constant or a register: a closed
+    /// expression, a scalar variable, or a slice loop's current element.
+    fn is_leaf(&self, e: &Expr) -> bool {
+        match e {
+            Expr::Var(_) => true,
+            Expr::Index(..) => Self::split_chain(e).is_some_and(|(sym, idxs)| {
+                let idxs: Vec<Expr> = idxs.into_iter().cloned().collect();
+                sym == self.main
+                    && self.allow_input
+                    && idxs.len() == self.depth
+                    && self
+                        .frame_of(&idxs)
+                        .is_some_and(|f| f.path.len() + 1 == self.depth)
+            }),
+            e => const_fold(e).is_some(),
+        }
+    }
+
+    /// Whether `e` is exactly `a[vars[0]][vars[1]]..` over the main input.
+    fn is_main_chain(&self, e: &Expr, vars: &[Sym]) -> bool {
+        Self::split_chain(e).is_some_and(|(sym, idxs)| {
+            sym == self.main
+                && idxs.len() == vars.len()
+                && idxs
+                    .iter()
+                    .zip(vars)
+                    .all(|(e, v)| matches!(e, Expr::Var(s) if s == v))
+        })
+    }
+
+    /// The deepest slice loop in scope whose current child `P[v]` is a
+    /// prefix of the chain `a[idxs[0]]..`.
+    fn frame_of(&self, idxs: &[Expr]) -> Option<&Frame> {
+        let is_var = |e: &Expr, v: Sym| matches!(e, Expr::Var(s) if *s == v);
+        self.frames
+            .iter()
+            .filter(|f| {
+                let k = f.path.len();
+                k < idxs.len()
+                    && idxs[..k].iter().zip(&f.path).all(|(e, &v)| is_var(e, v))
+                    && is_var(&idxs[k], f.var)
+            })
+            .max_by_key(|f| f.path.len())
+    }
+
+    /// Resolve the node `a[idxs[0]]..` (above the leaves): start from the
+    /// current row of the deepest slice loop that is a prefix of the
+    /// chain (no index evaluation, no bounds check), and bounds-check
+    /// only the indices past it.
+    fn lower_path(&mut self, idxs: &[Expr]) -> CResult<Path> {
+        let (start, used) = match self.frame_of(idxs) {
+            Some(f) if f.path.len() + 1 < self.depth => (Some(f.slot), f.path.len() + 1),
+            _ => (None, 0),
+        };
+        let steps = idxs[used..]
+            .iter()
+            .map(|e| self.lower_expr(e).map(|l| l.opnd))
+            .collect::<CResult<_>>()?;
+        Ok(Path {
+            start,
+            table: used,
+            steps,
+        })
+    }
+
+    /// Lower a full-depth load `a[e0]..[e_{d-1}]`. The first index is
+    /// relative to the chunk window (`base`), matching the interpreter
+    /// on a sliced input; the current element of a slice loop is read
+    /// directly.
+    fn lower_load(&mut self, idxs: &[Expr]) -> CResult<Lowered> {
         if idxs.len() != self.depth {
             return unsupported(format!(
                 "partial index chain ({} of {} dimensions)",
@@ -330,165 +844,63 @@ impl Compiler<'_> {
                 self.depth
             ));
         }
-        let ops: Vec<IntOp> = idxs
-            .iter()
-            .map(|e| self.lower_expr(e))
-            .collect::<CResult<_>>()?;
-        match self.depth {
-            1 => {
-                let [e0] = <[IntOp; 1]>::try_from(ops).ok().expect("one index");
-                Ok(Box::new(move |ctx| {
-                    let iv = e0(ctx);
-                    if ctx.err.is_some() {
-                        return 0;
-                    }
-                    let rows = ctx.rows;
-                    let Some(i) = in_bounds(iv, rows) else {
-                        return ctx.fail_oob(iv, rows);
-                    };
-                    ctx.flat.data[ctx.base + i]
-                }))
+        if let Some(f) = self.frame_of(idxs) {
+            if f.path.len() + 1 == self.depth {
+                return Ok(Lowered::leaf(Opnd::Reg(f.slot)));
             }
-            2 => {
-                let [e0, e1] = <[IntOp; 2]>::try_from(ops).ok().expect("two indices");
-                Ok(Box::new(move |ctx| {
-                    let iv = e0(ctx);
-                    if ctx.err.is_some() {
-                        return 0;
-                    }
-                    let rows = ctx.rows;
-                    let Some(i) = in_bounds(iv, rows) else {
-                        return ctx.fail_oob(iv, rows);
-                    };
-                    let row = ctx.base + i;
-                    let (c0, c1) = (ctx.flat.off1[row], ctx.flat.off1[row + 1]);
-                    let jv = e1(ctx);
-                    if ctx.err.is_some() {
-                        return 0;
-                    }
-                    let Some(j) = in_bounds(jv, c1 - c0) else {
-                        return ctx.fail_oob(jv, c1 - c0);
-                    };
-                    ctx.flat.data[c0 + j]
-                }))
-            }
-            3 => {
-                let [e0, e1, e2] = <[IntOp; 3]>::try_from(ops).ok().expect("three indices");
-                Ok(Box::new(move |ctx| {
-                    let iv = e0(ctx);
-                    if ctx.err.is_some() {
-                        return 0;
-                    }
-                    let rows = ctx.rows;
-                    let Some(i) = in_bounds(iv, rows) else {
-                        return ctx.fail_oob(iv, rows);
-                    };
-                    let plane = ctx.base + i;
-                    let (r0, r1) = (ctx.flat.off1[plane], ctx.flat.off1[plane + 1]);
-                    let jv = e1(ctx);
-                    if ctx.err.is_some() {
-                        return 0;
-                    }
-                    let Some(j) = in_bounds(jv, r1 - r0) else {
-                        return ctx.fail_oob(jv, r1 - r0);
-                    };
-                    let row = r0 + j;
-                    let (c0, c1) = (ctx.flat.off2[row], ctx.flat.off2[row + 1]);
-                    let kv = e2(ctx);
-                    if ctx.err.is_some() {
-                        return 0;
-                    }
-                    let Some(k) = in_bounds(kv, c1 - c0) else {
-                        return ctx.fail_oob(kv, c1 - c0);
-                    };
-                    ctx.flat.data[c0 + k]
-                }))
-            }
-            _ => unsupported("input depth beyond 3"),
         }
+        let path = self.lower_path(idxs)?;
+        let fails = path.fails();
+        Ok(Lowered::op(
+            Box::new(move |ctx| match path.walk(ctx) {
+                Some(node) => ctx.flat.data[node],
+                None => 0,
+            }),
+            fails,
+        ))
     }
 
     /// Lower `len(chain)` over the main input.
-    fn lower_len(&mut self, inner: &Expr) -> CResult<IntOp> {
+    fn lower_len(&mut self, inner: &Expr) -> CResult<Lowered> {
         let (_, idxs) = self.require_main_chain(inner)?;
-        match (self.depth, idxs.len()) {
-            (_, 0) => Ok(Box::new(move |ctx| ctx.rows as i64)),
-            (2, 1) | (3, 1) => {
-                // `off1` holds item offsets at depth 2 and row counts at
-                // depth 3; either way the difference is the level length.
-                let e0 = self.lower_expr(&idxs[0])?;
-                Ok(Box::new(move |ctx| {
-                    let iv = e0(ctx);
-                    if ctx.err.is_some() {
-                        return 0;
-                    }
-                    let rows = ctx.rows;
-                    let Some(i) = in_bounds(iv, rows) else {
-                        return ctx.fail_oob(iv, rows);
-                    };
-                    let row = ctx.base + i;
-                    (ctx.flat.off1[row + 1] - ctx.flat.off1[row]) as i64
-                }))
-            }
-            (3, 2) => {
-                let e0 = self.lower_expr(&idxs[0])?;
-                let e1 = self.lower_expr(&idxs[1])?;
-                Ok(Box::new(move |ctx| {
-                    let iv = e0(ctx);
-                    if ctx.err.is_some() {
-                        return 0;
-                    }
-                    let rows = ctx.rows;
-                    let Some(i) = in_bounds(iv, rows) else {
-                        return ctx.fail_oob(iv, rows);
-                    };
-                    let plane = ctx.base + i;
-                    let (r0, r1) = (ctx.flat.off1[plane], ctx.flat.off1[plane + 1]);
-                    let jv = e1(ctx);
-                    if ctx.err.is_some() {
-                        return 0;
-                    }
-                    let Some(j) = in_bounds(jv, r1 - r0) else {
-                        return ctx.fail_oob(jv, r1 - r0);
-                    };
-                    let row = r0 + j;
-                    (ctx.flat.off2[row + 1] - ctx.flat.off2[row]) as i64
-                }))
-            }
-            (d, k) => unsupported(format!(
-                "`len` of a depth-{} view of a depth-{d} input",
-                d - k
-            )),
+        let k = idxs.len();
+        if k >= self.depth {
+            return unsupported(format!(
+                "`len` of a depth-{} view of a depth-{} input",
+                self.depth - k,
+                self.depth
+            ));
         }
+        if k == 0 {
+            return Ok(Lowered::op(Box::new(|ctx| ctx.rows as i64), false));
+        }
+        // `off1` holds item offsets at depth 2 and row counts at depth 3;
+        // either way the difference is the level length.
+        let path = self.lower_path(&idxs)?;
+        let fails = path.fails();
+        Ok(Lowered::op(
+            Box::new(move |ctx| match path.walk(ctx) {
+                Some(node) => {
+                    let (lo, hi) = ctx.span(k, node);
+                    (hi - lo) as i64
+                }
+                None => 0,
+            }),
+            fails,
+        ))
     }
 
-    fn lower_expr(&mut self, e: &Expr) -> CResult<IntOp> {
+    fn lower_expr(&mut self, e: &Expr) -> CResult<Lowered> {
         if let Some(k) = const_fold(e) {
-            return Ok(Box::new(move |_| k));
+            return Ok(Lowered::leaf(Opnd::Const(k)));
         }
         match e {
-            Expr::Int(n) => {
-                let n = *n;
-                Ok(Box::new(move |_| n))
-            }
-            Expr::Bool(b) => {
-                let v = i64::from(*b);
-                Ok(Box::new(move |_| v))
-            }
+            Expr::Int(n) => Ok(Lowered::leaf(Opnd::Const(*n))),
+            Expr::Bool(b) => Ok(Lowered::leaf(Opnd::Const(i64::from(*b)))),
             Expr::Var(sym) => {
-                if *sym == self.main {
-                    return unsupported("whole-sequence use of the main input");
-                }
-                if let Some(ty) = self.program.decl_ty(*sym) {
-                    if !ty.is_scalar() {
-                        return unsupported(format!(
-                            "sequence-valued variable '{}'",
-                            self.program.name(*sym)
-                        ));
-                    }
-                }
-                let reg = self.reg(*sym);
-                Ok(Box::new(move |ctx| ctx.regs[reg]))
+                let reg = self.scalar_reg(*sym)?;
+                self.reads.push(*sym);
+                Ok(Lowered::leaf(Opnd::Reg(reg)))
             }
             Expr::Index(..) => {
                 let (_, idxs) = self.require_main_chain(e)?;
@@ -497,74 +909,89 @@ impl Compiler<'_> {
             Expr::Len(inner) => self.lower_len(inner),
             Expr::Zeros(_) => unsupported("`zeros` (array-shaped state)"),
             Expr::Unary(op, a) => {
-                let a = self.lower_expr(a)?;
-                match op {
-                    UnOp::Neg => Ok(Box::new(move |ctx| a(ctx).wrapping_neg())),
-                    UnOp::Not => Ok(Box::new(move |ctx| i64::from(a(ctx) == 0))),
-                }
+                let Lowered { opnd: a, fails } = self.lower_expr(a)?;
+                let f: IntOp = match op {
+                    UnOp::Neg => Box::new(move |ctx| a.get(ctx).wrapping_neg()),
+                    UnOp::Not => Box::new(move |ctx| i64::from(a.get(ctx) == 0)),
+                };
+                Ok(Lowered::op(f, fails))
             }
             Expr::Binary(op, a, b) => {
                 let a = self.lower_expr(a)?;
                 let b = self.lower_expr(b)?;
-                match op {
-                    // Short-circuit booleans, like the interpreter.
-                    BinOp::And => Ok(Box::new(move |ctx| {
-                        if a(ctx) != 0 {
-                            i64::from(b(ctx) != 0)
-                        } else {
-                            0
-                        }
-                    })),
-                    BinOp::Or => Ok(Box::new(move |ctx| {
-                        if a(ctx) == 0 {
-                            i64::from(b(ctx) != 0)
-                        } else {
-                            1
-                        }
-                    })),
-                    BinOp::Div => Ok(Box::new(move |ctx| {
-                        let (x, y) = (a(ctx), b(ctx));
-                        if y == 0 {
-                            ctx.fail("division by zero")
-                        } else {
-                            x.wrapping_div(y)
-                        }
-                    })),
-                    BinOp::Rem => Ok(Box::new(move |ctx| {
-                        let (x, y) = (a(ctx), b(ctx));
-                        if y == 0 {
-                            ctx.fail("remainder by zero")
-                        } else {
-                            x.wrapping_rem(y)
-                        }
-                    })),
-                    op => {
-                        let op = *op;
-                        Ok(Box::new(move |ctx| {
-                            let (x, y) = (a(ctx), b(ctx));
-                            eval_pure_binop(op, x, y)
-                        }))
-                    }
-                }
+                Ok(Lowered {
+                    fails: a.fails || b.fails || matches!(op, BinOp::Div | BinOp::Rem),
+                    opnd: binary(*op, a.opnd, b.opnd),
+                })
             }
             Expr::Ite(c, t, e2) => {
                 let c = self.lower_expr(c)?;
                 let t = self.lower_expr(t)?;
                 let e2 = self.lower_expr(e2)?;
-                Ok(Box::new(move |ctx| {
-                    // Lazy, like the interpreter: only the taken branch
-                    // evaluates (it may divide or index).
-                    if c(ctx) != 0 {
-                        t(ctx)
-                    } else {
-                        e2(ctx)
-                    }
-                }))
+                let fails = c.fails || t.fails || e2.fails;
+                let (c, t, e2) = (c.opnd, t.opnd, e2.opnd);
+                // Lazy, like the interpreter: only the taken branch
+                // evaluates (it may divide or index).
+                Ok(Lowered::op(
+                    Box::new(move |ctx| {
+                        if c.get(ctx) != 0 {
+                            t.get(ctx)
+                        } else {
+                            e2.get(ctx)
+                        }
+                    }),
+                    fails,
+                ))
             }
         }
     }
 
-    fn lower_stmt(&mut self, stmt: &Stmt) -> CResult<StmtOp> {
+    fn lower_block(&mut self, stmts: &[Stmt]) -> CResult<Block> {
+        let mut block = Block {
+            ops: Vec::with_capacity(stmts.len()),
+            fails: false,
+        };
+        for stmt in stmts {
+            let (op, fails) = self.lower_stmt(stmt)?;
+            block.ops.push(op);
+            block.fails |= fails;
+        }
+        Ok(block)
+    }
+
+    /// Lower `target = value` (or `let`), returning the statement and
+    /// whether it can record an error.
+    fn lower_assign(&mut self, target: Sym, value: &Expr) -> CResult<(StmtOp, bool)> {
+        // `r = r ⊕ e` (and `r = e ⊕ r` for commutative `⊕`) updates the
+        // register in place. Reading `r` cannot fail and `e` cannot
+        // change it, so the order of the two reads is unobservable.
+        if let Expr::Binary(op, x, y) = value {
+            let is_target = |e: &Expr| matches!(e, Expr::Var(s) if *s == target);
+            let update_op = matches!(
+                op,
+                BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Min | BinOp::Max
+            );
+            let commutes = matches!(op, BinOp::Add | BinOp::Mul | BinOp::Min | BinOp::Max);
+            let other = if update_op && is_target(x) {
+                Some(y)
+            } else if commutes && is_target(y) {
+                Some(x)
+            } else {
+                None
+            };
+            if let Some(e) = other {
+                let reg = self.scalar_reg(target)?;
+                self.reads.push(target);
+                let Lowered { opnd, fails } = self.lower_expr(e)?;
+                return Ok((with_get!(opnd, |x| update(reg, *op, x)), fails));
+            }
+        }
+        let Lowered { opnd, fails } = self.lower_expr(value)?;
+        let reg = self.reg(target);
+        Ok((with_get!(opnd, |x| set(reg, x)), fails))
+    }
+
+    fn lower_stmt(&mut self, stmt: &Stmt) -> CResult<(StmtOp, bool)> {
         match stmt {
             Stmt::Let { name, ty, init } => {
                 if !ty.is_scalar() {
@@ -573,12 +1000,7 @@ impl Compiler<'_> {
                         self.program.name(*name)
                     ));
                 }
-                let value = self.lower_expr(init)?;
-                let reg = self.reg(*name);
-                Ok(Box::new(move |ctx| {
-                    let v = value(ctx);
-                    ctx.regs[reg] = v;
-                }))
+                self.lower_assign(*name, init)
             }
             Stmt::Assign { target, value } => {
                 if !target.indices.is_empty() {
@@ -587,56 +1009,302 @@ impl Compiler<'_> {
                         self.program.name(target.base)
                     ));
                 }
-                let value = self.lower_expr(value)?;
-                let reg = self.reg(target.base);
-                Ok(Box::new(move |ctx| {
-                    let v = value(ctx);
-                    ctx.regs[reg] = v;
-                }))
+                self.lower_assign(target.base, value)
             }
             Stmt::If {
                 cond,
                 then_branch,
                 else_branch,
             } => {
-                let cond = self.lower_expr(cond)?;
-                let then_ops = self.lower_stmts(then_branch)?;
-                let else_ops = self.lower_stmts(else_branch)?;
-                Ok(Box::new(move |ctx| {
-                    let c = cond(ctx);
-                    if ctx.err.is_some() {
-                        return;
+                // `if (!c) A else B` runs as `if (c) B else A`.
+                let (mut cond, mut then_branch, mut else_branch) = (cond, then_branch, else_branch);
+                while let Expr::Unary(UnOp::Not, inner) = cond {
+                    cond = inner;
+                    std::mem::swap(&mut then_branch, &mut else_branch);
+                }
+                let (cond, cond_fails) = match cond {
+                    Expr::Binary(op, x, y)
+                        if const_fold(cond).is_none() && cmp_mask(*op).is_some() =>
+                    {
+                        let (x, y) = (self.lower_expr(x)?, self.lower_expr(y)?);
+                        let mask = cmp_mask(*op).unwrap_or_default();
+                        (Cond::Cmp(mask, x.opnd, y.opnd), x.fails || y.fails)
                     }
-                    if c != 0 {
-                        run_ops(&then_ops, ctx);
-                    } else {
-                        run_ops(&else_ops, ctx);
+                    cond => {
+                        let Lowered { opnd, fails } = self.lower_expr(cond)?;
+                        (Cond::Truthy(opnd), fails)
                     }
-                }))
+                };
+                // A guarded assignment of a constant or register becomes
+                // a select.
+                let guarded = match (then_branch.as_slice(), else_branch.as_slice()) {
+                    ([Stmt::Assign { target, value }], []) => Some((target, value, true)),
+                    ([], [Stmt::Assign { target, value }]) => Some((target, value, false)),
+                    _ => None,
+                };
+                if let Some((target, value, when)) = guarded {
+                    if target.indices.is_empty() && self.is_leaf(value) {
+                        let Lowered { opnd, .. } = self.lower_expr(value)?;
+                        let reg = self.reg(target.base);
+                        let op = match opnd {
+                            Opnd::Const(k) => {
+                                with_test!(cond, |t| select(t, cond_fails, reg, Const(k), when))
+                            }
+                            Opnd::Reg(r) => {
+                                with_test!(cond, |t| select(t, cond_fails, reg, Reg(r), when))
+                            }
+                            Opnd::Op(_) => unreachable!("a leaf lowers to a constant or register"),
+                        };
+                        return Ok((op, cond_fails));
+                    }
+                }
+                let then_ops = self.lower_block(then_branch)?;
+                let else_ops = self.lower_block(else_branch)?;
+                let fails = cond_fails || then_ops.fails || else_ops.fails;
+                let (then_ops, else_ops) = (then_ops.ops, else_ops.ops);
+                Ok((
+                    with_test!(cond, |t| branch(t, cond_fails, then_ops, else_ops)),
+                    fails,
+                ))
             }
             Stmt::For { var, bound, body } => {
-                let bound = self.lower_expr(bound)?;
+                if let Some(path) = self.slice_path(*var, bound, body) {
+                    return self.lower_slice_loop(*var, &path, body);
+                }
+                self.loops.push((*var, LoopTier::General));
+                let Lowered {
+                    opnd: bound,
+                    fails: bound_fails,
+                } = self.lower_expr(bound)?;
                 let var_reg = self.reg(*var);
-                let body_ops = self.lower_stmts(body)?;
-                Ok(Box::new(move |ctx| {
-                    let n = bound(ctx);
-                    if ctx.err.is_some() {
-                        return;
-                    }
-                    for i in 0..n.max(0) {
-                        ctx.regs[var_reg] = i;
-                        run_ops(&body_ops, ctx);
+                let Block { ops, fails } = self.lower_block(body)?;
+                Ok((
+                    Box::new(move |ctx| {
+                        let n = bound.get(ctx);
+                        // Also after an error earlier in the block: its
+                        // garbage values must not size a loop.
                         if ctx.err.is_some() {
                             return;
                         }
-                    }
-                }))
+                        for i in 0..n.max(0) {
+                            ctx.regs[var_reg] = i;
+                            run_ops(&ops, ctx);
+                            if fails && ctx.err.is_some() {
+                                return;
+                            }
+                        }
+                    }),
+                    bound_fails || fails,
+                ))
             }
         }
     }
 
-    fn lower_stmts(&mut self, stmts: &[Stmt]) -> CResult<Vec<StmtOp>> {
-        stmts.iter().map(|s| self.lower_stmt(s)).collect()
+    /// The index variables of `P` when `for var in 0 .. bound` is a slice
+    /// loop: `bound` is `len(P)` for `P` the main input or a row of it
+    /// indexed by variables, and the body assigns neither `var` nor any
+    /// of those variables, so `P` and its current child stay fixed.
+    fn slice_path(&self, var: Sym, bound: &Expr, body: &[Stmt]) -> Option<Vec<Sym>> {
+        let Expr::Len(p) = bound else {
+            return None;
+        };
+        let (sym, idxs) = Self::split_chain(p)?;
+        if !self.allow_input || sym != self.main || idxs.len() >= self.depth {
+            return None;
+        }
+        let mut pinned: Vec<Sym> = idxs
+            .iter()
+            .map(|e| match e {
+                Expr::Var(s) => Some(*s),
+                _ => None,
+            })
+            .collect::<Option<_>>()?;
+        if pinned.contains(&var) {
+            return None;
+        }
+        let path = pinned.clone();
+        pinned.push(var);
+        let mut assigned = false;
+        for stmt in body {
+            stmt.walk(&mut |s| {
+                assigned |= match s {
+                    Stmt::Let { name, .. } => pinned.contains(name),
+                    Stmt::Assign { target, .. } => pinned.contains(&target.base),
+                    Stmt::For { var, .. } => pinned.contains(var),
+                    Stmt::If { .. } => false,
+                };
+            });
+        }
+        (!assigned).then_some(path)
+    }
+
+    /// Whether `cond` holds exactly for the loop counters `v >= 1`.
+    fn past_first(cond: &Expr, v: Sym) -> bool {
+        let is_v = |e: &Expr| matches!(e, Expr::Var(s) if *s == v);
+        match cond {
+            Expr::Binary(op, x, k) if is_v(x) => matches!(
+                (op, const_fold(k)),
+                (BinOp::Gt | BinOp::Ne, Some(0)) | (BinOp::Ge, Some(1))
+            ),
+            Expr::Binary(op, k, x) if is_v(x) => matches!(
+                (op, const_fold(k)),
+                (BinOp::Lt | BinOp::Ne, Some(0)) | (BinOp::Le, Some(1))
+            ),
+            _ => false,
+        }
+    }
+
+    /// The accumulators of a reduction fold over the slice loop
+    /// `for var in 0 .. len(a[path..])`: its body only updates distinct
+    /// accumulators `r = r ⊕ x` or `r = x ⊕ r`, with `⊕` one of `+`,
+    /// `min`, `max` and `x` the current element (so no accumulator is
+    /// read elsewhere), or its body is one slice loop over the current
+    /// row that is itself such a fold.
+    fn fold_accs(&self, var: Sym, path: &[Sym], body: &[Stmt]) -> Option<Vec<(Sym, BinOp)>> {
+        let mut pinned = path.to_vec();
+        pinned.push(var);
+        if pinned.len() < self.depth {
+            let [Stmt::For {
+                var: inner,
+                bound: Expr::Len(p),
+                body,
+            }] = body
+            else {
+                return None;
+            };
+            if pinned.contains(inner) || !self.is_main_chain(p, &pinned) {
+                return None;
+            }
+            return self.fold_accs(*inner, &pinned, body);
+        }
+        let mut accs: Vec<(Sym, BinOp)> = Vec::with_capacity(body.len());
+        for stmt in body {
+            let Stmt::Assign {
+                target,
+                value: Expr::Binary(op, x, y),
+            } = stmt
+            else {
+                return None;
+            };
+            let r = target.base;
+            let is_r = |e: &Expr| matches!(e, Expr::Var(s) if *s == r);
+            let is_elem = |e: &Expr| self.is_main_chain(e, &pinned);
+            if !target.indices.is_empty()
+                || !matches!(op, BinOp::Add | BinOp::Min | BinOp::Max)
+                || !(is_r(x) && is_elem(y) || is_elem(x) && is_r(y))
+                || pinned.contains(&r)
+                || accs.iter().any(|&(s, _)| s == r)
+            {
+                return None;
+            }
+            accs.push((r, *op));
+        }
+        (!accs.is_empty()).then_some(accs)
+    }
+
+    /// Lower the slice loop `for var in 0 .. len(a[path..])`: the bound
+    /// is still resolved once (a bad `P` raises the interpreter's
+    /// error), then the loop walks `P`'s range of the offset tables —
+    /// as one native fold when the body is a reduction (see
+    /// [`Compiler::fold_accs`]).
+    fn lower_slice_loop(
+        &mut self,
+        var: Sym,
+        path: &[Sym],
+        body: &[Stmt],
+    ) -> CResult<(StmtOp, bool)> {
+        let table = path.len();
+        let idxs: Vec<Expr> = path.iter().map(|&s| Expr::var(s)).collect();
+        let span = self.lower_path(&idxs)?;
+        let span_fails = span.fails();
+
+        if let Some(accs) = self.fold_accs(var, path, body) {
+            let mut loop_var = var;
+            let mut body = body;
+            for _ in table..self.depth {
+                self.loops.push((loop_var, LoopTier::Fold));
+                if let [Stmt::For {
+                    var, body: inner, ..
+                }] = body
+                {
+                    (loop_var, body) = (*var, inner);
+                }
+            }
+            let accs: Vec<(usize, BinOp)> = accs
+                .into_iter()
+                .map(|(r, op)| Ok((self.scalar_reg(r)?, op)))
+                .collect::<CResult<_>>()?;
+            return Ok((
+                Box::new(move |ctx| {
+                    let Some(node) = span.walk(ctx) else {
+                        return;
+                    };
+                    let (lo, hi) = ctx.span(table, node);
+                    let (lo, hi) = ctx.leaves(table, lo, hi);
+                    let xs = &ctx.flat.data[lo..hi];
+                    for &(reg, op) in &accs {
+                        ctx.regs[reg] = fold_slice(op, ctx.regs[reg], xs);
+                    }
+                }),
+                span_fails,
+            ));
+        }
+
+        self.loops.push((var, LoopTier::Slice));
+        // A row goes to a cursor; an element is loaded into a register
+        // once per iteration.
+        let leaf = table + 1 == self.depth;
+        let slot = if leaf {
+            self.fresh_reg()
+        } else {
+            self.cursors += 1;
+            self.cursors - 1
+        };
+        // `if (v > 0) { .. }` around the whole body skips the first child.
+        let (skip, body) = match body {
+            [Stmt::If {
+                cond,
+                then_branch,
+                else_branch,
+            }] if else_branch.is_empty() && Self::past_first(cond, var) => (1, &then_branch[..]),
+            body => (0, body),
+        };
+        let var_reg = self.reg(var);
+        let mark = self.reads.len();
+        self.frames.push(Frame {
+            path: path.to_vec(),
+            var,
+            slot,
+        });
+        let body = self.lower_block(body);
+        self.frames.pop();
+        let Block { ops, fails } = body?;
+        // The counter is stored only when the body reads `var` other
+        // than through the current row or element.
+        let var_read = self.reads[mark..].contains(&var);
+        Ok((
+            Box::new(move |ctx| {
+                let Some(node) = span.walk(ctx) else {
+                    return;
+                };
+                let (lo, hi) = ctx.span(table, node);
+                for (i, pos) in (lo..hi).enumerate().skip(skip) {
+                    if leaf {
+                        ctx.regs[slot] = ctx.flat.data[pos];
+                    } else {
+                        ctx.cur[slot] = pos;
+                    }
+                    if var_read {
+                        ctx.regs[var_reg] = i as i64;
+                    }
+                    run_ops(&ops, ctx);
+                    if fails && ctx.err.is_some() {
+                        return;
+                    }
+                }
+            }),
+            span_fails || fails,
+        ))
     }
 }
 
@@ -667,6 +1335,10 @@ enum Kind {
 pub struct CompiledPlan {
     kind: Kind,
     n_regs: usize,
+    n_cursors: usize,
+    /// Every loop of the map body and the join with its lowering tier,
+    /// in lowering order.
+    loops: Vec<(Sym, LoopTier)>,
     main_index: usize,
     depth: usize,
     state_regs: Vec<usize>,
@@ -687,6 +1359,8 @@ impl fmt::Debug for CompiledPlan {
                 },
             )
             .field("n_regs", &self.n_regs)
+            .field("slice_loops", &self.slice_loops())
+            .field("folds", &self.folds())
             .field("depth", &self.depth)
             .field("state_slots", &self.state_regs.len())
             .finish()
@@ -732,12 +1406,29 @@ impl CompiledPlan {
         CState(self.init.clone())
     }
 
-    fn ctx<'a>(&self, flat: &'a FlatInput, base: usize, rows: usize) -> Ctx<'a> {
+    /// Loops lowered to walks over the offset tables (folds included).
+    fn slice_loops(&self) -> usize {
+        self.loops
+            .iter()
+            .filter(|(_, tier)| *tier != LoopTier::General)
+            .count()
+    }
+
+    /// Loops lowered to native reduction folds.
+    fn folds(&self) -> usize {
+        self.loops
+            .iter()
+            .filter(|(_, tier)| *tier == LoopTier::Fold)
+            .count()
+    }
+
+    fn ctx<'a>(&self, flat: &'a FlatInput, base: usize, rows: usize, cursors: usize) -> Ctx<'a> {
         Ctx {
             flat,
             base,
             rows,
             regs: vec![0; self.n_regs],
+            cur: vec![0; cursors],
             err: None,
         }
     }
@@ -788,7 +1479,7 @@ impl CompiledPlan {
         let Kind::Dnc { body, .. } = &self.kind else {
             return Err("summarize on a map-only plan".to_owned());
         };
-        let mut ctx = self.ctx(flat, lo, hi - lo);
+        let mut ctx = self.ctx(flat, lo, hi - lo, self.n_cursors);
         let init = from.map_or(self.init.as_slice(), |s| s.0.as_slice());
         for (&reg, &v) in self.state_regs.iter().zip(init) {
             ctx.regs[reg] = v;
@@ -814,8 +1505,8 @@ impl CompiledPlan {
         else {
             return Err("join on a map-only plan".to_owned());
         };
-        let empty = self.empty.clone();
-        let mut ctx = self.ctx(&empty, 0, 0);
+        // The join never reads the input: no cursors.
+        let mut ctx = self.ctx(&self.empty, 0, 0, 0);
         for bind in join_bind {
             // Convention of `apply_join`: each state variable starts at
             // its left value, with `v__l`/`v__r` bound alongside.
@@ -855,7 +1546,7 @@ impl CompiledPlan {
             return Err("map_rows on a divide-and-conquer plan".to_owned());
         };
         let mut out = Vec::with_capacity((hi - lo) * inner_regs.len());
-        let mut ctx = self.ctx(flat, 0, flat.n);
+        let mut ctx = self.ctx(flat, 0, flat.n, self.n_cursors);
         for i in lo..hi {
             for (&reg, &v) in self.state_regs.iter().zip(&self.init) {
                 ctx.regs[reg] = v;
@@ -897,7 +1588,7 @@ impl CompiledPlan {
         let arity = inner_regs.len();
         debug_assert_eq!(mapped.len(), (hi - lo) * arity);
         let mut state = from.clone();
-        let mut ctx = self.ctx(flat, 0, flat.n);
+        let mut ctx = self.ctx(flat, 0, flat.n, self.n_cursors);
         for (offset, i) in (lo..hi).enumerate() {
             for (&reg, &v) in self.state_regs.iter().zip(&state.0) {
                 ctx.regs[reg] = v;
@@ -1013,13 +1704,18 @@ pub fn compile_plan(plan: &Parallelization) -> std::result::Result<CompiledPlan,
         main: main_decl.name,
         depth,
         regs: HashMap::new(),
+        n_regs: 0,
         allow_input: true,
+        frames: Vec::new(),
+        cursors: 0,
+        reads: Vec::new(),
+        loops: Vec::new(),
     };
     let state_regs: Vec<usize> = program.state.iter().map(|d| c.reg(d.name)).collect();
 
     let kind = match &plan.outcome {
         Outcome::DivideAndConquer { join, vocab } => {
-            let body = c.lower_stmts(&program.body)?;
+            let body = c.lower_block(&program.body)?.ops;
             let mut join_bind = Vec::with_capacity(program.state.len());
             for (slot, decl) in program.state.iter().enumerate() {
                 let Some(var) = vocab.var(decl.name) else {
@@ -1035,7 +1731,7 @@ pub fn compile_plan(plan: &Parallelization) -> std::result::Result<CompiledPlan,
                 });
             }
             c.allow_input = false;
-            let join_stmts = c.lower_stmts(&join.stmts)?;
+            let join_stmts = c.lower_block(&join.stmts)?.ops;
             Kind::Dnc {
                 body,
                 join_stmts,
@@ -1050,8 +1746,8 @@ pub fn compile_plan(plan: &Parallelization) -> std::result::Result<CompiledPlan,
                 return unsupported("map-only plan over a non-memoryless program");
             }
             let loop_reg = c.reg(f.loop_var());
-            let inner = c.lower_stmts(f.inner_phase())?;
-            let outer = c.lower_stmts(f.outer_phase())?;
+            let inner = c.lower_block(f.inner_phase())?.ops;
+            let outer = c.lower_block(f.outer_phase())?.ops;
             let mut inner_regs = Vec::with_capacity(f.inner_vars().len());
             for (sym, ty) in f.inner_vars() {
                 if !ty.is_scalar() {
@@ -1073,7 +1769,9 @@ pub fn compile_plan(plan: &Parallelization) -> std::result::Result<CompiledPlan,
     };
 
     let compiled = CompiledPlan {
-        n_regs: c.regs.len(),
+        n_regs: c.n_regs,
+        n_cursors: c.cursors,
+        loops: c.loops,
         main_index,
         depth,
         state_regs,
@@ -1098,6 +1796,8 @@ pub fn compile_plan(plan: &Parallelization) -> std::result::Result<CompiledPlan,
                 ),
                 ("regs", compiled.n_regs.into()),
                 ("state_slots", compiled.state_arity().into()),
+                ("slice_loops", compiled.slice_loops().into()),
+                ("folds", compiled.folds().into()),
             ],
         );
     }
@@ -1739,5 +2439,172 @@ mod tests {
         let out = exec.run(&task, &items).unwrap();
         let sequential = run_program(&plan.program, &inputs).unwrap();
         assert_eq!(compiled.state_to_vec(&out.value), sequential);
+    }
+
+    /// The name and tier of every lowered loop.
+    fn tiers(compiled: &CompiledPlan, program: &Program) -> Vec<(String, LoopTier)> {
+        compiled
+            .loops
+            .iter()
+            .map(|&(sym, tier)| (program.name(sym).to_owned(), tier))
+            .collect()
+    }
+
+    fn expect_tiers(compiled: &CompiledPlan, program: &Program, want: &[(&str, LoopTier)]) {
+        let want: Vec<(String, LoopTier)> = want.iter().map(|&(v, t)| (v.to_owned(), t)).collect();
+        assert_eq!(tiers(compiled, program), want);
+    }
+
+    /// Both engines on the same inputs, results (or error text) equal.
+    fn engines_agree(plan: &Parallelization, inputs: &[Value], threads: usize) {
+        let run = |engine| {
+            let cfg = RunConfig::work_stealing(threads)
+                .with_threads(threads)
+                .with_engine(engine);
+            run_plan_checked(plan, inputs, &cfg)
+                .map(|out| out.state)
+                .map_err(|e| e.to_string())
+        };
+        assert_eq!(
+            run(Engine::Compiled),
+            run(Engine::Interp),
+            "{threads} threads"
+        );
+    }
+
+    #[test]
+    fn batch_plans_lower_to_slice_loops_and_folds() {
+        use LoopTier::{Fold, Slice};
+        let cases: [(&str, &[(&str, LoopTier)]); 4] = [
+            ("sum", &[("i", Slice), ("j", Fold)]),
+            ("sorted", &[("i", Slice), ("j", Slice)]),
+            ("mbbs", &[("i", Slice), ("j", Fold), ("k", Fold)]),
+            ("max_dist", &[("i", Slice)]),
+        ];
+        for (id, want) in cases {
+            let b = parsynt_suite::benchmark(id).unwrap();
+            let program = parsynt_lang::parse(b.source).unwrap();
+            let plan = crate::pipeline::Pipeline::new(&program)
+                .configure(crate::pipeline::PipelineConfig::default().with_profile(b.profile))
+                .run()
+                .unwrap()
+                .parallelization;
+            let compiled = compile_plan(&plan).unwrap();
+            expect_tiers(&compiled, &plan.program, want);
+            let slices = want.len();
+            let folds = want.iter().filter(|(_, t)| *t == Fold).count();
+            assert_eq!((compiled.slice_loops(), compiled.folds()), (slices, folds));
+        }
+    }
+
+    /// A map-only plan over a hand-written memoryless program, so any
+    /// loop shape can be lowered without synthesis.
+    fn map_only(body: &str) -> Parallelization {
+        let src = format!(
+            "input a : seq<seq<int>>; state s : int = 0;\n\
+             for i in 0 .. len(a) {{ let t : int = 0; let u : int = 0; {body} s = s + t + u; }}\n\
+             return s;"
+        );
+        Parallelization {
+            program: parsynt_lang::parse(&src).unwrap(),
+            outcome: Outcome::MapOnly,
+            report: Default::default(),
+        }
+    }
+
+    #[test]
+    fn loop_shapes_pick_their_tier_and_agree_with_the_interpreter() {
+        use LoopTier::{Fold, General, Slice};
+        let cases: [(&str, &[(&str, LoopTier)]); 9] = [
+            // Two accumulators, both operand orders.
+            (
+                "for j in 0 .. len(a[i]) { t = t + a[i][j]; u = max(a[i][j], u); }",
+                &[("j", Fold)],
+            ),
+            // `t` is read by another update: no fold.
+            (
+                "for j in 0 .. len(a[i]) { t = t + a[i][j]; u = u + t; }",
+                &[("j", Slice)],
+            ),
+            // The counter is read, and a partial load is bounds-checked.
+            (
+                "for j in 0 .. len(a[i]) { if (j > 0) { t = t + a[i][j] - a[i][0]; } }",
+                &[("j", Slice)],
+            ),
+            // A first-iteration guard (peeled) around a guarded update.
+            (
+                "for j in 0 .. len(a[i]) { if (0 < j) { if (a[i][j] < u) { t = t + 1; } u = a[i][j]; } }",
+                &[("j", Slice)],
+            ),
+            // A guard with an else branch is not peeled.
+            (
+                "for j in 0 .. len(a[i]) { if (j != 0) { u = a[i][j]; } else { t = a[i][j] * 2; } }",
+                &[("j", Slice)],
+            ),
+            // Negated guarded assignments (selects) and a run of leaf sets.
+            (
+                "for j in 0 .. len(a[i]) { if (!(a[i][j] > u)) { u = a[i][j]; } if (!(t == 0)) {} else { t = j; } t = u; u = 7; }",
+                &[("j", Slice)],
+            ),
+            // The body reassigns the loop variable.
+            (
+                "for j in 0 .. len(a[i]) { let j : int = 0; t = t + a[i][j]; }",
+                &[("j", General)],
+            ),
+            // The bound is not `len` of a variable-indexed row.
+            (
+                "for j in 0 .. len(a[i]) - 1 { t = t + a[i][j + 1] * a[i][j]; }",
+                &[("j", General)],
+            ),
+            // A nested walk over the same row.
+            (
+                "for j in 0 .. len(a[i]) { for k in 0 .. len(a[i]) { t = max(t, a[i][k] - a[i][j]); } }",
+                &[("j", Slice), ("k", Slice)],
+            ),
+        ];
+        let data = [
+            vec![3, -1, 4],
+            vec![],
+            vec![1, 5, -9, 2, 6],
+            vec![i64::MAX, 1],
+        ];
+        let inputs = vec![Value::seq2_of_ints(&data)];
+        for (body, want) in cases {
+            let plan = map_only(body);
+            let compiled = compile_plan(&plan).unwrap();
+            expect_tiers(&compiled, &plan.program, want);
+            for threads in [1, 3] {
+                engines_agree(&plan, &inputs, threads);
+            }
+            assert_eq!(
+                run_plan_checked(&plan, &inputs, &RunConfig::work_stealing(2))
+                    .map(|out| out.state)
+                    .map_err(|e| e.to_string()),
+                run_program(&plan.program, &inputs).map_err(|e| e.to_string()),
+                "{body}"
+            );
+        }
+    }
+
+    #[test]
+    fn bad_slice_bound_raises_the_interpreters_error() {
+        // `len(a[k])` with `k` past the input: the slice loop still
+        // resolves its bound and fails exactly like the interpreter.
+        let plan = map_only("let k : int = i + 1; for j in 0 .. len(a[k]) { t = t + a[k][j]; }");
+        let compiled = compile_plan(&plan).unwrap();
+        expect_tiers(&compiled, &plan.program, &[("j", LoopTier::Fold)]);
+        let inputs = vec![Value::seq2_of_ints(&[vec![1, 2], vec![3]])];
+        engines_agree(&plan, &inputs, 1);
+        let err = run_plan_checked(&plan, &inputs, &RunConfig::work_stealing(1)).unwrap_err();
+        assert!(err.to_string().contains("out of bounds"), "{err}");
+    }
+
+    #[test]
+    fn empty_row_fails_with_the_same_error_under_both_engines() {
+        let plan = map_only("t = a[i][0];");
+        let inputs = vec![Value::seq2_of_ints(&[vec![4], vec![], vec![2]])];
+        for threads in [1, 2, 3] {
+            engines_agree(&plan, &inputs, threads);
+        }
     }
 }

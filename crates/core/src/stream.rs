@@ -110,8 +110,17 @@ pub fn chunk_value_inputs(
     let mut lo = 0;
     while lo < n {
         let hi = (lo + chunk_rows).min(n);
-        let mut chunk = inputs.to_vec();
-        chunk[main] = inputs[main].slice(lo, hi);
+        let chunk = inputs
+            .iter()
+            .enumerate()
+            .map(|(k, v)| {
+                if k == main {
+                    v.slice(lo, hi)
+                } else {
+                    v.clone()
+                }
+            })
+            .collect();
         out.push(chunk);
         lo = hi;
     }
@@ -497,6 +506,29 @@ mod tests {
                 "chunk_rows {chunk_rows}"
             );
             assert_eq!(out.elements, 5);
+        }
+    }
+
+    #[test]
+    fn chunks_slice_only_the_main_input() {
+        let program = parsynt_lang::parse(
+            "input w : seq<int>; input a : seq<int>; state s : int = 0;\n\
+             for i in 0 .. len(a) { s = s + a[i] * w[0]; }",
+        )
+        .unwrap();
+        let plan = Parallelization {
+            program,
+            outcome: Outcome::MapOnly,
+            report: Default::default(),
+        };
+        let weights = Value::seq_of_ints(&[3, 4]);
+        let main = Value::seq_of_ints(&[1, 2, 3, 4, 5, 6, 7]);
+        let inputs = vec![weights.clone(), main.clone()];
+        let chunks = chunk_value_inputs(&plan, &inputs, 3).unwrap();
+        let bounds = [(0, 3), (3, 6), (6, 7)];
+        assert_eq!(chunks.len(), bounds.len());
+        for (chunk, (lo, hi)) in chunks.iter().zip(bounds) {
+            assert_eq!(chunk, &vec![weights.clone(), main.slice(lo, hi)]);
         }
     }
 

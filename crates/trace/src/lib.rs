@@ -104,8 +104,13 @@
 //! engine for running synthesized plans):
 //!
 //! * `execute/compile_plan` (point, `fields.kind`, `fields.regs`,
-//!   `fields.state_slots`) — a plan was compiled to fused native chunk
-//!   kernels; `kind` is `divide_and_conquer` or `map_only`;
+//!   `fields.state_slots`, `fields.slice_loops`, `fields.folds`) — a plan
+//!   was compiled to fused native chunk kernels; `kind` is
+//!   `divide_and_conquer` or `map_only`. `slice_loops` counts the loops
+//!   lowered to walks over the input's offset tables, and `folds` the
+//!   subset of those emitted as native reduction folds. Every other loop
+//!   runs on the general closure-tree path, so `slice_loops` = 0 means
+//!   the whole plan took that path;
 //! * `execute/compile_fallback` (point, `fields.reason`) — the compiled
 //!   engine was requested but the plan (or, in streaming, a chunk's
 //!   main input) is outside compiler coverage, so execution fell back

@@ -297,40 +297,71 @@ mod engines {
         PLAN.get_or_init(|| synthesize_file("programs/mbbs.psl", "mbbs"))
     }
 
+    /// Synthesize a suite benchmark with its own input profile.
+    fn suite_plan(id: &str) -> Parallelization {
+        let b = benchmark(id).expect("known benchmark");
+        let program = parse(b.source).expect("source parses");
+        Pipeline::new(&program)
+            .configure(PipelineConfig::default().with_profile(b.profile.clone()))
+            .run()
+            .unwrap_or_else(|e| panic!("{id} synthesizes: {e}"))
+            .parallelization
+    }
+
     fn mbs_plan() -> &'static Parallelization {
         static PLAN: OnceLock<Parallelization> = OnceLock::new();
-        PLAN.get_or_init(|| {
-            let b = benchmark("max_bottom_strip").expect("known benchmark");
-            let program = parse(b.source).expect("source parses");
-            Pipeline::new(&program)
-                .configure(PipelineConfig::default().with_profile(b.profile.clone()))
-                .run()
-                .expect("max_bottom_strip synthesizes")
-                .parallelization
-        })
+        PLAN.get_or_init(|| suite_plan("max_bottom_strip"))
+    }
+
+    /// 2-D, reads `a[i][0]` (fails on an empty row), slice loop with a
+    /// read counter.
+    fn sorted_plan() -> &'static Parallelization {
+        static PLAN: OnceLock<Parallelization> = OnceLock::new();
+        PLAN.get_or_init(|| suite_plan("sorted"))
+    }
+
+    /// 1-D, the outer loop is the slice loop.
+    fn max_dist_plan() -> &'static Parallelization {
+        static PLAN: OnceLock<Parallelization> = OnceLock::new();
+        PLAN.get_or_init(|| suite_plan("max_dist"))
     }
 
     /// Run the plan under both engines and insist they agree
-    /// byte-for-byte; returns the (shared) final state.
+    /// byte-for-byte, errors included; returns the shared result.
+    fn run_both_or_fail(
+        plan: &Parallelization,
+        inputs: &[Value],
+        threads: usize,
+    ) -> Result<StateVec, String> {
+        let run = |engine| {
+            run_plan_checked(
+                plan,
+                inputs,
+                &RunConfig::work_stealing(threads).with_engine(engine),
+            )
+            .map_err(|e| e.to_string())
+        };
+        let (interp, compiled) = (run(Engine::Interp), run(Engine::Compiled));
+        match (interp, compiled) {
+            (Ok(interp), Ok(compiled)) => {
+                assert_eq!(
+                    interp.state, compiled.state,
+                    "engines disagree at {threads} threads"
+                );
+                assert!(!interp.degraded && !compiled.degraded);
+                Ok(compiled.state)
+            }
+            (interp, compiled) => {
+                let (interp, compiled) = (interp.map(|o| o.state), compiled.map(|o| o.state));
+                assert_eq!(interp, compiled, "engines disagree at {threads} threads");
+                compiled
+            }
+        }
+    }
+
+    /// [`run_both_or_fail`] on an input both engines must accept.
     fn run_both(plan: &Parallelization, inputs: &[Value], threads: usize) -> StateVec {
-        let interp = run_plan_checked(
-            plan,
-            inputs,
-            &RunConfig::work_stealing(threads).with_engine(Engine::Interp),
-        )
-        .expect("interpreter engine runs");
-        let compiled = run_plan_checked(
-            plan,
-            inputs,
-            &RunConfig::work_stealing(threads).with_engine(Engine::Compiled),
-        )
-        .expect("compiled engine runs");
-        assert_eq!(
-            interp.state, compiled.state,
-            "engines disagree at {threads} threads"
-        );
-        assert!(!interp.degraded && !compiled.degraded);
-        compiled.state
+        run_both_or_fail(plan, inputs, threads).expect("both engines run")
     }
 
     #[test]
@@ -440,17 +471,55 @@ mod engines {
             #![proptest_config(ProptestConfig::with_cases(40))]
 
             /// Compiled and interpreted engines agree on arbitrary ragged
-            /// inputs and thread counts (hence chunkings), for both a
-            /// plain additive join and a max/ite join.
+            /// inputs and thread counts (hence chunkings), for every
+            /// kernel tier: folds (`sum2d`, `mbbs` over ragged planes with
+            /// empty planes and rows), slice loops with a read counter
+            /// and an unchecked first-element load (`sorted`), a 1-D
+            /// slice loop (`max_dist`), and a max/ite join (`mbs`).
             #[test]
             fn engines_agree_on_random_inputs(
                 data in proptest::collection::vec(
                     proptest::collection::vec(-50i64..51, 0..7), 0..24),
+                planes in proptest::collection::vec(
+                    proptest::collection::vec(
+                        proptest::collection::vec(-50i64..51, 0..5), 0..4), 0..12),
                 threads in 1usize..9,
             ) {
-                let input = Value::seq2_of_ints(&data);
-                run_both(sum2d_plan(), &[input.clone()], threads);
-                run_both(mbs_plan(), &[input], threads);
+                let inputs = [Value::seq2_of_ints(&data)];
+                run_both(sum2d_plan(), &inputs, threads);
+                run_both(mbs_plan(), &inputs, threads);
+                // `sorted` reads `a[i][0]`: an empty row fails, with the
+                // same error under both engines.
+                let sorted = run_both_or_fail(sorted_plan(), &inputs, threads);
+                prop_assert_eq!(sorted.is_err(), data.iter().any(Vec::is_empty));
+                let filled: Vec<Vec<i64>> =
+                    data.iter().filter(|r| !r.is_empty()).cloned().collect();
+                run_both(sorted_plan(), &[Value::seq2_of_ints(&filled)], threads);
+                run_both(max_dist_plan(), &[Value::seq_of_ints(&data.concat())], threads);
+                run_both(mbbs_plan(), &[Value::seq3_of_ints(&planes)], threads);
+            }
+
+            /// Wrapping arithmetic at the edges of `i64`: the folds of
+            /// `sum2d` and `mbbs` must wrap exactly like the interpreter
+            /// (and like a native wrapping sum), and so must the
+            /// general-path subtractions of `max_dist`.
+            #[test]
+            fn engines_agree_on_extreme_leaves(
+                data in proptest::collection::vec(
+                    proptest::collection::vec(
+                        (0usize..5).prop_map(|k| [i64::MIN, i64::MAX, -1, 0, 1][k]), 1..7),
+                    0..16),
+                threads in 1usize..5,
+            ) {
+                let inputs = [Value::seq2_of_ints(&data)];
+                let native = data.iter().flatten().fold(0i64, |s, &x| s.wrapping_add(x));
+                let state = run_both(sum2d_plan(), &inputs, threads);
+                prop_assert_eq!(state.scalar_named(&sum2d_plan().program, "s"), Some(native));
+                run_both(mbs_plan(), &inputs, threads);
+                run_both(sorted_plan(), &inputs, threads);
+                run_both(max_dist_plan(), &[Value::seq_of_ints(&data.concat())], threads);
+                let planes: Vec<Vec<Vec<i64>>> = data.chunks(3).map(<[_]>::to_vec).collect();
+                run_both(mbbs_plan(), &[Value::seq3_of_ints(&planes)], threads);
             }
         }
     }
