@@ -162,8 +162,11 @@ fn main() {
         let elements = leaf_elements(&inputs[f.main_input()]) as f64;
 
         for &t in &threads {
-            let interp_cfg = RunConfig::work_stealing(t)
-                .with_threads(t)
+            // One chunk per thread: the 2 000-row inputs are below the
+            // default 50k grain, which would run every thread count as a
+            // single chunk on the calling thread.
+            let interp_cfg = RunConfig::static_schedule(t)
+                .with_grain(1)
                 .with_engine(Engine::Interp);
             let compiled_cfg = interp_cfg.with_engine(Engine::Compiled);
             let (interp_time, interp_state) = measure(&plan, &inputs, &interp_cfg, reps);

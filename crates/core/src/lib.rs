@@ -36,10 +36,11 @@
 //! ([`RunConfig`] for [`PipelineReport::execute`]) and tracing
 //! ([`parsynt_trace::TraceConfig`]).
 //!
-//! The pre-0.2 free functions (`schema::parallelize`,
-//! `schema::parallelize_with`, `proof::check_homomorphism_law`) remain
-//! as deprecated module-level shims over the same schema body; they are
-//! no longer re-exported at the crate root.
+//! Execution lowers a plan to a task and hands it to
+//! [`parsynt_runtime::Executor`]: [`run_plan_checked`] for a batch input,
+//! [`run_stream_checked`] for a chunked stream. Every [`RunConfig`]
+//! field reaches synthesized plans — `engine` picks compiled kernels or
+//! the interpreter, `threads`, `grain` and `backend` cut the chunks.
 
 pub mod budget;
 pub mod cache;
@@ -55,14 +56,8 @@ mod testplans;
 
 pub use budget::{budget_of, validate_budget, Budget};
 pub use cache::{CacheStats, CachedSolution, SolutionCache};
-pub use compile::{
-    compile_plan, run_plan_checked, CState, CompileError, CompiledDncTask, CompiledMapOnlyTask,
-    CompiledPlan, FlatInput,
-};
-pub use exec::{
-    run_divide_and_conquer, run_divide_and_conquer_checked, run_map_only, run_map_only_checked,
-    ExecOutcome,
-};
+pub use compile::{compile_plan, CState, CompileError, CompiledDncTask, CompiledPlan, FlatInput};
+pub use exec::{run_divide_and_conquer, run_map_only, run_plan_checked, ExecOutcome};
 pub use fingerprint::{fingerprint, fingerprint_hex};
 pub use parsynt_runtime::{Backend, Engine, RunConfig};
 pub use parsynt_trace::TraceConfig;

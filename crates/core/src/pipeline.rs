@@ -32,7 +32,7 @@
 //! `cache.hit` counter and no synthesis phase timings.
 
 use crate::cache::{CachedSolution, SolutionCache};
-use crate::compile::run_plan_checked;
+use crate::exec::run_plan_checked;
 use crate::fingerprint::{fingerprint, fingerprint_hex};
 use crate::proof::homomorphism_law_checks;
 use crate::schema::{run_schema, Outcome, Parallelization, Report};

@@ -1,20 +1,23 @@
-//! Streaming execution of a synthesized parallelization through the
-//! interpreter: online aggregation over chunks of the main input.
+//! Streaming execution of a synthesized parallelization: online
+//! aggregation over chunks of the main input.
 //!
-//! Divide-and-conquer plans stream by the homomorphism law — each chunk
-//! is summarized in parallel with [`run_divide_and_conquer_checked`] and
-//! folded into the running state with the synthesized join ⊙, so the
-//! state after chunk *k* equals the sequential run over the first *k*
-//! chunks' concatenation. Map-only plans (Prop. 4.3) have no join, but
-//! their inner nests are memoryless: each chunk's rows map in parallel
-//! from the zero state and the sequential outer fold simply continues
-//! from the running state.
+//! Every stream chunk runs through the same executor call as a batch
+//! run ([`crate::exec::run_plan_checked`]), so `grain` and `backend`
+//! apply per chunk: a chunk of at most `grain` rows runs on the calling
+//! thread. Divide-and-conquer plans stream by the homomorphism law —
+//! each chunk is summarized and folded into the running state with the
+//! synthesized join ⊙, so the state after chunk *k* equals the
+//! sequential run over the first *k* chunks' concatenation. Map-only
+//! plans (Prop. 4.3) have no join, but their inner nests are
+//! memoryless: each chunk's rows map from the zero state and the
+//! sequential outer fold simply continues from the running state.
 //!
-//! Faults stay chunk-local: a panic inside a chunk is retried and then
-//! degraded by the per-chunk executor; a panicking join (or fold)
-//! degrades *that stream chunk only* to a sequential re-run of its rows
-//! from the running state via [`run_program_from`] — the end-of-input
-//! state is byte-identical to the batch path either way.
+//! Faults stay chunk-local: the executor retries a panicking chunk and
+//! degrades it to a sequential run of that stream chunk; a panicking
+//! join onto the prefix is retried once, then *that stream chunk only*
+//! degrades to a sequential extension of the running state over its
+//! rows — the end-of-input state is byte-identical to the batch path
+//! either way.
 //!
 //! The engine in the [`RunConfig`] selects how chunks are summarized:
 //! [`Engine::Compiled`] (the default) lowers the plan once with
@@ -26,15 +29,14 @@
 //! snapshots are identical, so both engines stream byte-identical
 //! states.
 
-use crate::compile::{compile_plan, emit_compile_fallback, push_chunk_compiled};
-use crate::exec::{chunk_ranges, run_divide_and_conquer_checked};
-use crate::schema::{Outcome, Parallelization};
+use crate::compile::{compile_plan, emit_compile_fallback};
+use crate::exec::{execute, require_memoryless, Compiled, Interp, Kernels};
+use crate::schema::Parallelization;
 use parsynt_lang::error::{LangError, Result};
 use parsynt_lang::functional::RightwardFn;
-use parsynt_lang::interp::{init_env, read_state, run_program_from, StateVec};
+use parsynt_lang::interp::StateVec;
 use parsynt_lang::Value;
-use parsynt_runtime::{Engine, RunConfig};
-use parsynt_synth::join::apply_join;
+use parsynt_runtime::{Engine, Executor, RunConfig};
 use parsynt_trace as trace;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -153,9 +155,7 @@ where
     if parallelization.is_unparallelizable() {
         return Err(LangError::eval("not a parallelizable plan"));
     }
-    let threads = run.threads;
-    let program = &parallelization.program;
-    let f = RightwardFn::new(program)?;
+    let f = RightwardFn::new(&parallelization.program)?;
     let main = f.main_input();
     let compiled = if run.engine == Engine::Compiled {
         match compile_plan(parallelization) {
@@ -176,7 +176,8 @@ where
             "interp_stream"
         },
     );
-    exec_span.record("threads", threads);
+    exec_span.record("threads", run.threads);
+    let exec = Executor::new(run);
 
     let started = Instant::now();
     let mut running: Option<StateVec> = None;
@@ -194,23 +195,23 @@ where
             .and_then(|cp| cp.flatten(&chunk_inputs[main]));
         let state = match (&compiled, flat) {
             (Some(cp), Some(flat)) => {
-                let push = push_chunk_compiled(cp, &flat, threads, running.as_ref())?;
-                stats.degraded_chunks += push.degraded;
-                stats.recovered_chunks += push.recovered;
-                push.state
+                trace::counter("execute", "kernel_elements", n as u64);
+                push_chunk(
+                    &Compiled::new(cp, &flat),
+                    &exec,
+                    running.as_ref(),
+                    &mut stats,
+                )?
             }
             (compiled, _) => {
                 if compiled.is_some() {
                     emit_compile_fallback("main input is not a flattenable int sequence");
                 }
-                push_chunk_interp(
-                    parallelization,
-                    &f,
-                    &chunk_inputs,
-                    threads,
-                    &running,
-                    &mut stats,
-                )?
+                if parallelization.is_map_only() {
+                    require_memoryless(parallelization, "streaming map-only")?;
+                }
+                let kernels = Interp::new(parallelization, &f, &chunk_inputs)?;
+                push_chunk(&kernels, &exec, running.as_ref(), &mut stats)?
             }
         };
         stats.chunks += 1;
@@ -276,176 +277,48 @@ struct StreamStats {
     snapshots: usize,
 }
 
-/// Dispatch one chunk to the interpreted per-outcome push (the whole
-/// stream under [`Engine::Interp`]; single chunks whose input did not
-/// flatten under [`Engine::Compiled`]).
-fn push_chunk_interp(
-    parallelization: &Parallelization,
-    f: &RightwardFn,
-    chunk_inputs: &[Value],
-    threads: usize,
-    running: &Option<StateVec>,
-    stats: &mut StreamStats,
-) -> Result<StateVec> {
-    match &parallelization.outcome {
-        Outcome::DivideAndConquer { join, vocab } => push_chunk_dnc(
-            parallelization,
-            join,
-            vocab,
-            chunk_inputs,
-            threads,
-            running.as_ref(),
-            stats,
-        ),
-        Outcome::MapOnly => push_chunk_map_only(
-            &parallelization.program,
-            f,
-            chunk_inputs,
-            threads,
-            running.clone(),
-            stats,
-        ),
-        Outcome::Unparallelizable { .. } => unreachable!("rejected before streaming"),
-    }
-}
-
-/// Summarize one chunk in parallel and extend the running state with the
-/// synthesized join. A panicking join retries once; a second panic
-/// degrades this chunk to a sequential extension from the running state.
-fn push_chunk_dnc(
-    parallelization: &Parallelization,
-    join: &parsynt_synth::join::SynthesizedJoin,
-    vocab: &parsynt_synth::join::JoinVocab,
-    chunk_inputs: &[Value],
-    threads: usize,
+/// Fold one stream chunk into the running state. The chunk runs
+/// through the executor like a batch input; a map-only chunk continues
+/// the outer fold from the running state, a divide-and-conquer chunk is
+/// joined onto it. A panicking join is retried once; a second panic
+/// degrades this chunk to a sequential extension of the running state
+/// over its rows.
+fn push_chunk<K: Kernels>(
+    kernels: &K,
+    exec: &Executor,
     running: Option<&StateVec>,
     stats: &mut StreamStats,
 ) -> Result<StateVec> {
-    let program = &parallelization.program;
-    let out = run_divide_and_conquer_checked(parallelization, chunk_inputs, threads)?;
+    let left = running.map(|s| kernels.state_of(s)).transpose()?;
+    let dnc = kernels.is_divide_and_conquer();
+    let out = execute(kernels, exec, if dnc { None } else { left.clone() })?;
     stats.degraded_chunks += usize::from(out.degraded);
     stats.recovered_chunks += out.recovered_chunks;
-    let Some(left) = running else {
-        return Ok(out.state);
+    let (Some(left), true) = (left, dnc) else {
+        return Ok(kernels.vec_of(out.value));
     };
     for attempt in 0..2u32 {
-        match catch_unwind(AssertUnwindSafe(|| {
-            apply_join(program, vocab, join, left, &out.state)
-        })) {
+        match catch_unwind(AssertUnwindSafe(|| kernels.join(&left, &out.value))) {
             Ok(joined) => {
                 stats.recovered_chunks += usize::from(attempt > 0);
-                return joined;
+                return joined.map(|state| kernels.vec_of(state));
             }
             Err(_) if attempt == 0 => {}
             Err(_) => break,
         }
     }
-    // Join is persistently broken on this pair: extend the prefix by
-    // re-running the loop body over this chunk's rows sequentially.
     stats.degraded_chunks += 1;
     catch_unwind(AssertUnwindSafe(|| {
-        run_program_from(program, chunk_inputs, left)
+        kernels.summarize(0, kernels.rows(), Some(&left))
     }))
     .unwrap_or_else(|_| Err(LangError::eval("sequential chunk re-run panicked")))
-}
-
-/// Map one chunk's rows in parallel from the zero state, then continue
-/// the sequential outer fold from the running state. Any persistent
-/// failure degrades this chunk to a sequential re-run of its rows.
-fn push_chunk_map_only(
-    program: &parsynt_lang::Program,
-    f: &RightwardFn,
-    chunk_inputs: &[Value],
-    threads: usize,
-    running: Option<StateVec>,
-    stats: &mut StreamStats,
-) -> Result<StateVec> {
-    // The map phase runs inner nests from the zero state — only sound
-    // for the (transformed) memoryless program.
-    let analysis = parsynt_lang::analysis::analyze(program);
-    if !analysis.is_syntactically_memoryless() {
-        return Err(LangError::eval(
-            "streaming map-only requires a memoryless program (run the schema first)",
-        ));
-    }
-    let running = match running {
-        Some(state) => state,
-        // First chunk: the initial outer state comes from the program's
-        // initializers evaluated against this chunk's inputs.
-        None => {
-            let env = init_env(program, chunk_inputs)?;
-            read_state(program, &env)?
-        }
-    };
-    let n = chunk_inputs[f.main_input()].len().unwrap_or_default();
-    type InnerBlock = Result<Vec<parsynt_lang::functional::InnerResult>>;
-    let map_chunk = |lo: usize, hi: usize| -> InnerBlock {
-        (lo..hi)
-            .map(|i| f.inner_phase_from_zero(chunk_inputs, i))
-            .collect()
-    };
-    let ranges = chunk_ranges(n, threads);
-    let guarded: Vec<std::result::Result<InnerBlock, ()>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|&(lo, hi)| {
-                let map_chunk = &map_chunk;
-                scope.spawn(move || {
-                    catch_unwind(AssertUnwindSafe(|| map_chunk(lo, hi))).map_err(drop)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or(Err(())))
-            .collect()
-    });
-
-    let mut failed = false;
-    let mut blocks: Vec<InnerBlock> = Vec::with_capacity(guarded.len());
-    for (result, &(lo, hi)) in guarded.into_iter().zip(&ranges) {
-        match result {
-            Ok(block) => blocks.push(block),
-            Err(()) => match catch_unwind(AssertUnwindSafe(|| map_chunk(lo, hi))) {
-                Ok(block) => {
-                    stats.recovered_chunks += 1;
-                    blocks.push(block);
-                }
-                Err(_) => {
-                    failed = true;
-                    break;
-                }
-            },
-        }
-    }
-
-    if !failed {
-        let folded = catch_unwind(AssertUnwindSafe(|| -> Result<StateVec> {
-            let mut state = running.clone();
-            let mut i = 0usize;
-            for block in blocks {
-                for inner in block? {
-                    state = f.outer_phase_from(chunk_inputs, i, &state, &inner)?;
-                    i += 1;
-                }
-            }
-            Ok(state)
-        }));
-        if let Ok(state) = folded {
-            return state;
-        }
-    }
-
-    stats.degraded_chunks += 1;
-    catch_unwind(AssertUnwindSafe(|| {
-        run_program_from(program, chunk_inputs, &running)
-    }))
-    .unwrap_or_else(|_| Err(LangError::eval("sequential chunk re-run panicked")))
+    .map(|state| kernels.vec_of(state))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::Outcome;
     use crate::testplans;
     use parsynt_lang::interp::run_program;
 
@@ -468,7 +341,7 @@ mod tests {
         for chunk_rows in [1, 4, 10, 37, 100] {
             let chunks = chunk_value_inputs(plan, &inputs, chunk_rows).unwrap();
             let mut snaps = Vec::new();
-            let cfg = RunConfig::work_stealing(3);
+            let cfg = RunConfig::work_stealing(3).with_grain(1);
             let out = run_stream_checked(plan, chunks, cfg, 1, |s| snaps.push(s.clone())).unwrap();
             assert_eq!(out.state, batch, "chunk_rows {chunk_rows}");
             assert_eq!(out.elements, 37);
@@ -498,8 +371,8 @@ mod tests {
         let batch = run_program(&plan.program, &inputs).unwrap();
         for chunk_rows in [1, 2, 3, 5] {
             let chunks = chunk_value_inputs(plan, &inputs, chunk_rows).unwrap();
-            let out =
-                run_stream_checked(plan, chunks, RunConfig::work_stealing(2), 0, |_| {}).unwrap();
+            let cfg = RunConfig::work_stealing(2).with_grain(1);
+            let out = run_stream_checked(plan, chunks, cfg, 0, |_| {}).unwrap();
             assert_eq!(
                 out.state.scalar_named(&plan.program, "cnt"),
                 batch.scalar_named(&plan.program, "cnt"),
@@ -549,7 +422,9 @@ mod tests {
             let mut by_engine = Vec::new();
             for engine in [Engine::Compiled, Engine::Interp] {
                 let chunks = chunk_value_inputs(plan, &inputs, chunk_rows).unwrap();
-                let cfg = RunConfig::work_stealing(3).with_engine(engine);
+                let cfg = RunConfig::work_stealing(3)
+                    .with_grain(1)
+                    .with_engine(engine);
                 let mut snaps = Vec::new();
                 let out = run_stream_checked(plan, chunks, cfg, 1, |s| snaps.push(s.state.clone()))
                     .unwrap();

@@ -16,20 +16,28 @@
 //! * [`Backend::Static`] — OpenMP-flavoured static scheduling: exactly
 //!   one contiguous chunk per thread.
 //!
-//! Since 0.4.0 every execution mode is a method on one entry point,
-//! [`Executor`]:
+//! Every execution mode is a method on one entry point, [`Executor`]:
 //!
 //! * [`Executor::run`] — batch divide-and-conquer over a finished slice;
 //! * [`Executor::run_map_only`] — the Prop. 4.3 case where the inner
 //!   loop nest parallelizes but the outer fold stays sequential
 //!   (balanced parentheses, §2.1);
+//! * [`Executor::run_range`] / [`Executor::run_map_only_range`] — the
+//!   same two modes for tasks that address their input by position
+//!   ([`RangeDncTask`], [`RangeMapOnlyTask`]); `parsynt-core` runs every
+//!   synthesized plan, under either engine, through these;
 //! * [`Executor::run_stream`] / [`Executor::stream`] — online
 //!   aggregation over chunked or unbounded input, emitting progressive
 //!   partial-prefix snapshots (the [`stream`]-module; sources include
 //!   [`stream::ReaderChunks`] and out-of-core [`stream::PagedFileChunks`]).
 //!
-//! The nine pre-0.4 free functions (`run_parallel`, `try_run_parallel`,
-//! …) remain as deprecated shims over the same machinery.
+//! All batch modes share one scheduling routine, so [`RunConfig`] means
+//! the same thing for a native task and a synthesized plan. An input of
+//! at most `grain` items (or any input at one thread) runs as a single
+//! chunk on the calling thread, spawning nothing. Larger inputs are cut
+//! into one chunk per thread ([`Backend::Static`]) or into `grain`-sized
+//! chunks ([`Backend::WorkStealing`]), and chunk results are combined in
+//! input order.
 //!
 //! All executors are panic-isolated: a worker panic is caught, its
 //! chunk retried once, and persistent failures degrade the run (or, when
@@ -49,18 +57,10 @@ pub mod stream;
 pub mod task;
 
 pub use error::RuntimeError;
-#[allow(deprecated)]
-pub use executor::{
-    reduce_tree, run_map_only, run_parallel, run_sequential, try_reduce_tree, try_run_map_only,
-    try_run_parallel,
-};
-#[allow(deprecated)]
-#[cfg(feature = "fault-inject")]
-pub use executor::{run_map_only_with_faults, run_parallel_with_faults};
 pub use executor::{Backend, Engine, Executor, RunConfig, RunOutcome};
 #[cfg(feature = "fault-inject")]
 pub use faults::{FaultKind, FaultPlan};
 #[cfg(unix)]
 pub use stream::{write_i64_records, PagedFileChunks};
 pub use stream::{ReaderChunks, StreamError, StreamOutcome, StreamSession, StreamSnapshot};
-pub use task::{DncTask, MapOnlyTask};
+pub use task::{DncTask, MapOnlyTask, RangeDncTask, RangeMapOnlyTask};

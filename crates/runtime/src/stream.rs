@@ -43,9 +43,7 @@
 //! `stream_snapshot` per snapshot, and a `stream_elements` counter.
 
 use crate::error::RuntimeError;
-use crate::executor::{
-    emit_worker_panic, payload_string, try_run_parallel_impl, Executor, RunOutcome,
-};
+use crate::executor::{emit_worker_panic, payload_string, Executor, RunOutcome};
 use crate::task::DncTask;
 use parsynt_trace as trace;
 use std::fs::File;
@@ -186,8 +184,7 @@ impl<'e, T: DncTask> StreamSession<'e, T> {
             return Ok(());
         }
         let chunk_idx = self.chunks;
-        let out: RunOutcome<T::Acc> =
-            try_run_parallel_impl(self.task, chunk, self.exec.config(), self.exec.fault_arg())?;
+        let out: RunOutcome<T::Acc> = self.exec.run(self.task, chunk)?;
         let value = match self.acc.take() {
             None => out.value,
             Some(left) => match join_guarded(self.task, left, out.value, chunk_idx) {

@@ -128,6 +128,17 @@
 //!   degrade events (`worker_panic`, `fallback_sequential`) are shared
 //!   with the interpreter engine and carry identical payloads.
 //!
+//! Every synthesized plan, under either engine, runs on
+//! `parsynt-runtime`'s `Executor`, the scheduler native tasks use. So
+//! the executor's own events also appear under the plan spans above:
+//! `execute/chunks` (counter, one per run, including a single chunk on
+//! the calling thread) and `execute/joins` (divide-and-conquer runs), and
+//! — only when the run goes parallel (more than one thread and more than
+//! `grain` rows) — the `execute/run_parallel` span (`fields.threads`,
+//! `fields.grain`, `fields.backend`, `fields.items`) with the
+//! `execute/worker_steals` / `execute/worker_chunks` counters
+//! (`fields.worker`) emitted once per worker.
+//!
 //! ## Usage
 //!
 //! ```

@@ -7,17 +7,12 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
-echo "== cargo clippy (-D warnings) =="
-cargo clippy --workspace -- -D warnings
-
-echo "== cargo clippy parsynt-serve incl. tests (-D warnings) =="
-cargo clippy -p parsynt-serve --all-targets -- -D warnings
-
-# The plan compiler (crates/core/src/compile.rs) carries
-# `#![warn(clippy::unwrap_used)]`; lint the core crate including its
-# tests so the kernel-compiler module stays unwrap-free.
-echo "== cargo clippy parsynt-core incl. tests (-D warnings) =="
-cargo clippy -p parsynt-core --all-targets -- -D warnings
+# Every target of every crate: libraries, binaries, tests, examples and
+# benches. The plan compiler (crates/core/src/compile.rs) and the
+# runtime carry `#![warn(clippy::unwrap_used)]`, so this also keeps them
+# unwrap-free.
+echo "== cargo clippy --workspace --all-targets (-D warnings) =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo build --release =="
 cargo build --release --workspace
@@ -47,42 +42,5 @@ echo "== cargo test engine differential (incl. fault injection) =="
 cargo test --test native_vs_interpreter -q
 cargo test --test native_vs_interpreter --features fault-inject -q
 cargo test -p parsynt-core compile -q
-
-# Non-test code must select the execution engine through
-# `run_plan_checked` / `RunConfig` rather than constructing the
-# interpreter path directly; the interpreter entry points
-# (`run_divide_and_conquer*`, `run_map_only*` in core::exec) are
-# reserved for the engine dispatcher in compile.rs and for tests.
-echo "== direct interpreter-path construction =="
-interp_entry_fns='(^|[^.[:alnum:]_])(run_divide_and_conquer|run_divide_and_conquer_checked|run_map_only_checked)[[:space:]]*\('
-offenders=$( grep -rnE "$interp_entry_fns" --include='*.rs' src crates/service/src \
-                | grep -v '_test' || true )
-if [ -n "$offenders" ]; then
-    echo "error: non-engine code constructs the interpreter path directly:" >&2
-    echo "$offenders" >&2
-    exit 1
-fi
-
-# The nine pre-0.4 executor free functions are deprecated shims over
-# `Executor`; workspace code must not call them. The definitions and
-# their compatibility test live in crates/runtime/src/executor.rs,
-# which is excluded. Method calls (`.run_sequential(`, `exec.run(`...)
-# are fine — only free-function call syntax is gated.
-echo "== deprecated executor free functions =="
-# Six of the names are unique to the deprecated API and gated in any
-# call position (not preceded by `.` or an identifier character). The
-# other three (run_sequential, run_map_only, reduce_tree) collide with
-# `Executor` methods and `core::exec` functions, so only their
-# runtime-qualified paths are gated.
-deprecated_free_fns='(^|[^.[:alnum:]_])(run_parallel|try_run_parallel|run_parallel_with_faults|try_run_map_only|run_map_only_with_faults|try_reduce_tree)[[:space:]]*\('
-qualified_free_fns='(parsynt_)?runtime::(run_sequential|run_map_only|reduce_tree)[[:space:]]*\('
-offenders=$( (grep -rnE "$deprecated_free_fns" --include='*.rs' crates src tests ;
-              grep -rnE "$qualified_free_fns" --include='*.rs' crates src tests) \
-                | grep -v 'crates/runtime/src/executor.rs' || true )
-if [ -n "$offenders" ]; then
-    echo "error: workspace code calls deprecated executor free functions:" >&2
-    echo "$offenders" >&2
-    exit 1
-fi
 
 echo "CI gate passed."

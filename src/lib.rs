@@ -48,25 +48,7 @@
 //! println!("{}", report.to_json_pretty());
 //! ```
 //!
-//! # Migrating from 0.1
-//!
-//! The free functions are deprecated shims (now reachable only through
-//! their modules, e.g. `core::schema::parallelize`); each maps onto the
-//! builder:
-//!
-//! | 0.1 | 0.2 |
-//! |-----|-----|
-//! | `parallelize(&p)?` | `Pipeline::new(&p).run()?.parallelization` |
-//! | `parallelize_with(&p, &profile, &cfg)?` | `Pipeline::new(&p).configure(PipelineConfig::default().with_profile(profile).with_synth(cfg)).run()?.parallelization` |
-//! | `check_homomorphism_law(&plan, &profile, n, seed)?` | `report.check_homomorphism(n)?` |
-//! | ad-hoc knobs spread over call sites | one [`PipelineConfig`], `Pipeline::new(&p).configure(cfg)` |
-//!
-//! The 0.2 per-part builder setters (`Pipeline::profile`,
-//! `Pipeline::config`, `Pipeline::budget`) are deprecated in 0.3: the
-//! input profile and search budget moved into [`PipelineConfig`]
-//! (`with_profile` / `with_budget`), making
-//! `Pipeline::new(&p).configure(cfg)` the single configuration entry
-//! point.
+//! # Configuration
 //!
 //! [`PipelineConfig`] is the whole configuration surface: what to
 //! synthesize with ([`SynthConfig`], including `with_synth_threads`

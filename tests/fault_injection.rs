@@ -107,7 +107,7 @@ fn map_only_fault_sweep_is_byte_identical() {
         .run_map_only(&CountPositive, &d)
         .expect("fault-free baseline")
         .value;
-    let four = RunConfig::default().with_threads(4);
+    let four = RunConfig::default().with_threads(4).with_grain(1_000);
     for seed in 0..16 {
         let out = Executor::new(four)
             .with_faults(mixed_plan(seed))

@@ -328,16 +328,23 @@ mod engines {
 
     /// Run the plan under both engines and insist they agree
     /// byte-for-byte, errors included; returns the shared result.
+    /// `grain` is capped at each thread's share of the main input, so a
+    /// run cuts at least `min(threads, rows)` chunks.
     fn run_both_or_fail(
         plan: &Parallelization,
         inputs: &[Value],
         threads: usize,
+        grain: usize,
     ) -> Result<StateVec, String> {
+        let rows = inputs[0].len().unwrap_or(0);
+        let grain = grain.min((rows / threads).max(1));
         let run = |engine| {
             run_plan_checked(
                 plan,
                 inputs,
-                &RunConfig::work_stealing(threads).with_engine(engine),
+                &RunConfig::work_stealing(threads)
+                    .with_grain(grain)
+                    .with_engine(engine),
             )
             .map_err(|e| e.to_string())
         };
@@ -360,8 +367,13 @@ mod engines {
     }
 
     /// [`run_both_or_fail`] on an input both engines must accept.
-    fn run_both(plan: &Parallelization, inputs: &[Value], threads: usize) -> StateVec {
-        run_both_or_fail(plan, inputs, threads).expect("both engines run")
+    fn run_both(
+        plan: &Parallelization,
+        inputs: &[Value],
+        threads: usize,
+        grain: usize,
+    ) -> StateVec {
+        run_both_or_fail(plan, inputs, threads, grain).expect("both engines run")
     }
 
     #[test]
@@ -372,7 +384,7 @@ mod engines {
         let native: i64 = data.iter().flatten().sum();
         let input = Value::seq2_of_ints(&data);
         for threads in [1, 2, 3, 8] {
-            let state = run_both(plan, &[input.clone()], threads);
+            let state = run_both(plan, std::slice::from_ref(&input), threads, 1);
             assert_eq!(state.scalar_named(&plan.program, "s"), Some(native));
         }
     }
@@ -396,7 +408,7 @@ mod engines {
         }
         let input = Value::seq3_of_ints(&planes);
         for threads in [1, 3, 8] {
-            let state = run_both(plan, &[input.clone()], threads);
+            let state = run_both(plan, std::slice::from_ref(&input), threads, 1);
             assert_eq!(state.scalar_named(&plan.program, "mbbs"), Some(native));
         }
     }
@@ -437,7 +449,7 @@ mod engines {
         }
         let input = Value::seq2_of_ints(&lines);
         for threads in [1, 4] {
-            let state = run_both(&plan, &[input.clone()], threads);
+            let state = run_both(&plan, std::slice::from_ref(&input), threads, 1);
             assert_eq!(state.scalar_named(&plan.program, "cnt"), Some(cnt));
         }
 
@@ -458,7 +470,7 @@ mod engines {
         }
         let input = Value::seq2_of_ints(&data);
         for threads in [1, 4] {
-            let state = run_both(&plan, &[input.clone()], threads);
+            let state = run_both(&plan, std::slice::from_ref(&input), threads, 1);
             assert_eq!(state.scalar_named(&plan.program, "mtl"), Some(best));
         }
     }
@@ -484,19 +496,20 @@ mod engines {
                     proptest::collection::vec(
                         proptest::collection::vec(-50i64..51, 0..5), 0..4), 0..12),
                 threads in 1usize..9,
+                grain in 1usize..4,
             ) {
                 let inputs = [Value::seq2_of_ints(&data)];
-                run_both(sum2d_plan(), &inputs, threads);
-                run_both(mbs_plan(), &inputs, threads);
+                run_both(sum2d_plan(), &inputs, threads, grain);
+                run_both(mbs_plan(), &inputs, threads, grain);
                 // `sorted` reads `a[i][0]`: an empty row fails, with the
                 // same error under both engines.
-                let sorted = run_both_or_fail(sorted_plan(), &inputs, threads);
+                let sorted = run_both_or_fail(sorted_plan(), &inputs, threads, grain);
                 prop_assert_eq!(sorted.is_err(), data.iter().any(Vec::is_empty));
                 let filled: Vec<Vec<i64>> =
                     data.iter().filter(|r| !r.is_empty()).cloned().collect();
-                run_both(sorted_plan(), &[Value::seq2_of_ints(&filled)], threads);
-                run_both(max_dist_plan(), &[Value::seq_of_ints(&data.concat())], threads);
-                run_both(mbbs_plan(), &[Value::seq3_of_ints(&planes)], threads);
+                run_both(sorted_plan(), &[Value::seq2_of_ints(&filled)], threads, grain);
+                run_both(max_dist_plan(), &[Value::seq_of_ints(&data.concat())], threads, grain);
+                run_both(mbbs_plan(), &[Value::seq3_of_ints(&planes)], threads, grain);
             }
 
             /// Wrapping arithmetic at the edges of `i64`: the folds of
@@ -510,16 +523,17 @@ mod engines {
                         (0usize..5).prop_map(|k| [i64::MIN, i64::MAX, -1, 0, 1][k]), 1..7),
                     0..16),
                 threads in 1usize..5,
+                grain in 1usize..4,
             ) {
                 let inputs = [Value::seq2_of_ints(&data)];
                 let native = data.iter().flatten().fold(0i64, |s, &x| s.wrapping_add(x));
-                let state = run_both(sum2d_plan(), &inputs, threads);
+                let state = run_both(sum2d_plan(), &inputs, threads, grain);
                 prop_assert_eq!(state.scalar_named(&sum2d_plan().program, "s"), Some(native));
-                run_both(mbs_plan(), &inputs, threads);
-                run_both(sorted_plan(), &inputs, threads);
-                run_both(max_dist_plan(), &[Value::seq_of_ints(&data.concat())], threads);
+                run_both(mbs_plan(), &inputs, threads, grain);
+                run_both(sorted_plan(), &inputs, threads, grain);
+                run_both(max_dist_plan(), &[Value::seq_of_ints(&data.concat())], threads, grain);
                 let planes: Vec<Vec<Vec<i64>>> = data.chunks(3).map(<[_]>::to_vec).collect();
-                run_both(mbbs_plan(), &[Value::seq3_of_ints(&planes)], threads);
+                run_both(mbbs_plan(), &[Value::seq3_of_ints(&planes)], threads, grain);
             }
         }
     }

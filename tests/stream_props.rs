@@ -134,10 +134,13 @@ mod engine_parity {
         })
     }
 
+    /// `grain` is capped at a third of `chunk_rows`, so a full stream
+    /// chunk splits into at least `min(3, chunk_rows)` executor chunks.
     fn stream_states(
         plan: &Parallelization,
         inputs: &[Value],
         chunk_rows: usize,
+        grain: usize,
         engine: Engine,
     ) -> Vec<parsynt::lang::interp::StateVec> {
         let chunks = chunk_value_inputs(plan, inputs, chunk_rows).expect("chunkable");
@@ -145,7 +148,9 @@ mod engine_parity {
         let out = run_stream_checked(
             plan,
             chunks,
-            RunConfig::work_stealing(3).with_engine(engine),
+            RunConfig::work_stealing(3)
+                .with_grain(grain.min((chunk_rows / 3).max(1)))
+                .with_engine(engine),
             1,
             |snap: &StreamSnapshot| states.push(snap.state.clone()),
         )
@@ -162,11 +167,12 @@ mod engine_parity {
             data in proptest::collection::vec(
                 proptest::collection::vec(-100i64..101, 0..6), 1..40),
             chunk_rows in 1usize..9,
+            grain in 1usize..4,
         ) {
             let plan = mbs_plan();
             let inputs = [Value::seq2_of_ints(&data)];
-            let interp = stream_states(plan, &inputs, chunk_rows, Engine::Interp);
-            let compiled = stream_states(plan, &inputs, chunk_rows, Engine::Compiled);
+            let interp = stream_states(plan, &inputs, chunk_rows, grain, Engine::Interp);
+            let compiled = stream_states(plan, &inputs, chunk_rows, grain, Engine::Compiled);
             prop_assert_eq!(interp, compiled);
         }
     }
