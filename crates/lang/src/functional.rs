@@ -204,10 +204,11 @@ impl<'p> RightwardFn<'p> {
         crate::interp::run_program_from(self.program, &sliced, init)
     }
 
+    /// The inputs with the main one cut to `lo..hi`. Only the rows of
+    /// the slice are copied, so a chunk costs its own size.
     fn slice_inputs(&self, inputs: &[Value], lo: usize, hi: usize) -> Result<Vec<Value>> {
-        let mut out = inputs.to_vec();
-        let main = out
-            .get_mut(self.main_input)
+        let main = inputs
+            .get(self.main_input)
             .ok_or_else(|| LangError::eval("missing main input"))?;
         let len = main
             .len()
@@ -217,8 +218,17 @@ impl<'p> RightwardFn<'p> {
                 "slice {lo}..{hi} out of bounds (len {len})"
             )));
         }
-        *main = main.slice(lo, hi);
-        Ok(out)
+        Ok(inputs
+            .iter()
+            .enumerate()
+            .map(|(k, v)| {
+                if k == self.main_input {
+                    main.slice(lo, hi)
+                } else {
+                    v.clone()
+                }
+            })
+            .collect())
     }
 
     /// One full outer step `s ⊕ a_i`: run the entire outer body for
@@ -357,6 +367,25 @@ mod tests {
         let whole = f.apply(&inputs).unwrap();
         let resumed = f.apply_slice_from(&inputs, 2, 4, &hx).unwrap();
         assert_eq!(resumed, whole);
+    }
+
+    #[test]
+    fn a_slice_runs_on_the_cut_main_input_and_the_other_inputs() {
+        let p = parse(
+            "input w : seq<int>; input a : seq<seq<int>>; state s : int = 0;\n\
+             for i in 0 .. len(a) { for j in 0 .. len(a[i]) { s = s + w[0] * a[i][j]; } }",
+        )
+        .unwrap();
+        let f = RightwardFn::new(&p).unwrap();
+        let rows = Value::seq2_of_ints(&[vec![1, 2], vec![-3], vec![4, 5], vec![6]]);
+        let w = Value::seq_of_ints(&[10, 7]);
+        let inputs = vec![w.clone(), rows.clone()];
+        let sliced = vec![w, rows.slice(1, 3)];
+        assert_eq!(
+            f.apply_slice(&inputs, 1, 3).unwrap(),
+            crate::interp::run_program(&p, &sliced).unwrap()
+        );
+        assert!(f.apply_slice(&inputs, 2, 5).is_err());
     }
 
     #[test]
